@@ -20,10 +20,10 @@
 use cloudbench::scale::scale_spec;
 use cloudbench_bench::metrics::GATE_SCALE_CLIENTS;
 use cloudbench_bench::REPRO_SEED;
-use cloudsim_services::scale::{
-    run_scale_concurrent, run_scale_traced, run_scale_traced_concurrent,
-};
+use cloudsim_parallel::available_workers;
+use cloudsim_services::scale::{run_scale, run_scale_traced, ScaleRun, ScaleSpec};
 use cloudsim_storage::{GcPolicy, ObjectStore};
+use cloudsim_trace::Trace;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::{Duration, Instant};
 
@@ -39,16 +39,26 @@ fn best_of<F: FnMut()>(n: usize, mut f: F) -> Duration {
         .expect("n > 0")
 }
 
+/// The traceless run with one worker per core, against a fresh store.
+fn traceless(spec: &ScaleSpec) -> ScaleRun {
+    run_scale(spec, ObjectStore::with_policy(GcPolicy::MarkSweep), available_workers())
+}
+
+/// The traced run with one worker (and one shard) per core.
+fn traced(spec: &ScaleSpec) -> (ScaleRun, Trace) {
+    run_scale_traced(spec, ObjectStore::with_policy(GcPolicy::MarkSweep), available_workers())
+}
+
 fn overhead(c: &mut Criterion) {
     let spec = scale_spec(GATE_SCALE_CLIENTS, REPRO_SEED);
 
     // --- Invariant 1: capture is a pure observer. ---
-    let baseline = run_scale_concurrent(&spec);
-    let (traced, capture) = run_scale_traced_concurrent(&spec);
-    assert_eq!(traced.commits, baseline.commits, "tracing changed the commit count");
-    assert_eq!(traced.logical_bytes, baseline.logical_bytes, "tracing changed the volume");
-    assert_eq!(traced.intervals, baseline.intervals, "tracing changed the timeline");
-    assert_eq!(traced.aggregate(), baseline.aggregate(), "tracing changed the store state");
+    let baseline = traceless(&spec);
+    let (run, capture) = traced(&spec);
+    assert_eq!(run.commits, baseline.commits, "tracing changed the commit count");
+    assert_eq!(run.logical_bytes, baseline.logical_bytes, "tracing changed the volume");
+    assert_eq!(run.intervals, baseline.intervals, "tracing changed the timeline");
+    assert_eq!(run.aggregate(), baseline.aggregate(), "tracing changed the store state");
     // The merged capture is worker-count independent: one worker and one
     // shard reproduce it bit for bit.
     let (_, single) = run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
@@ -57,14 +67,14 @@ fn overhead(c: &mut Criterion) {
         single.view().packets(),
         "the k-shard merge diverged from the single-shard capture"
     );
-    assert_eq!(capture.view().len() as u64, traced.commits * 5, "packets per commit drifted");
+    assert_eq!(capture.view().len() as u64, run.commits * 5, "packets per commit drifted");
 
     // --- Invariant 2: tracing costs at most 1.5x wall time. ---
     let traceless_t = best_of(3, || {
-        run_scale_concurrent(&spec);
+        traceless(&spec);
     });
     let traced_t = best_of(3, || {
-        run_scale_traced_concurrent(&spec);
+        traced(&spec);
     });
     let ratio = traced_t.as_secs_f64() / traceless_t.as_secs_f64().max(1e-9);
     println!(
@@ -87,10 +97,10 @@ fn overhead(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3));
     group.throughput(Throughput::Elements(baseline.commits));
     group.bench_with_input(BenchmarkId::new("fleet_scale", "traceless"), &spec, |b, spec| {
-        b.iter(|| run_scale_concurrent(spec))
+        b.iter(|| traceless(spec))
     });
     group.bench_with_input(BenchmarkId::new("fleet_scale", "traced"), &spec, |b, spec| {
-        b.iter(|| run_scale_traced_concurrent(spec))
+        b.iter(|| traced(spec))
     });
     group.finish();
 }

@@ -18,7 +18,10 @@
 //! as deterministic JSON, with `-` streaming the JSON to stdout *instead
 //! of* the text report (what the CI determinism legs `cmp`); counted flags
 //! like `--clients N` reject missing/malformed/zero values with the usage
-//! text and exit code 2 everywhere instead of silently falling back.
+//! text and exit code 2 everywhere instead of silently falling back, and a
+//! population the scale driver cannot run (event or packet counts that
+//! overflow, a traced run past the 2^24-client address space) is refused
+//! the same way before anything is allocated.
 //!
 //! Each target runs the corresponding experiment on the simulated substrate
 //! and prints the same rows/series the paper reports. Absolute values differ
@@ -42,8 +45,8 @@
 //! population-scale dedup and the server load curve, with `--json PATH`
 //! dumping the suite deterministically for the CI fleet-scale determinism
 //! leg and `--capture PATH` recording the workload as a versioned JSONL
-//! capture — `replay` re-drives such a capture through the event heap
-//! (same mix by default: bit-identical metrics; `--link`/`--profile`
+//! capture — `replay` re-drives such a capture through the same scale
+//! driver (same mix by default: bit-identical metrics; `--link`/`--profile`
 //! remap every client for the paper-style A/B comparison, with
 //! `--metrics PATH` dumping the replayed gate metrics for `bench_gate
 //! --subset`), `partition` runs the worker-sharded partition mode —
@@ -77,7 +80,7 @@ use cloudbench_bench::cli::{
 use cloudbench_bench::{BENCH_REPETITIONS, REPRO_SEED};
 use cloudsim_geo::ResolverFleet;
 use cloudsim_services::capture::{parse_capture, render_capture, ReplayMix};
-use cloudsim_services::AccessLink;
+use cloudsim_services::{AccessLink, ScaleSpec};
 
 fn table1(testbed: &Testbed) {
     let matrix = CapabilityMatrix::detect_all(testbed);
@@ -164,6 +167,17 @@ fn faults(json: Option<&str>) {
     emit(&Report::faults(&suite), json, &Report::to_json(&suite), "the faults suite");
 }
 
+/// The `--clients` count, refused with usage (exit 2) when `check` —
+/// [`ScaleSpec::validate`] or [`ScaleSpec::validate_traced`] — rejects the
+/// canonical population of that size.
+fn checked_clients(args: &[String], check: fn(&ScaleSpec) -> Result<(), String>) -> usize {
+    let clients = parse_clients(args, &usage());
+    if let Err(e) = check(&cloudbench::scale::scale_spec(clients, REPRO_SEED)) {
+        die_usage(&format!("--clients {clients}: {e}"), &usage());
+    }
+    clients
+}
+
 fn fleet_scale(clients: usize, json: Option<&str>, capture: Option<&str>) {
     let suite = cloudbench::scale::run_fleet_scale(clients, REPRO_SEED);
     emit(&Report::fleet_scale(&suite), json, &Report::to_json(&suite), "the fleet-scale suite");
@@ -174,7 +188,7 @@ fn fleet_scale(clients: usize, json: Option<&str>, capture: Option<&str>) {
 }
 
 fn trace(args: &[String]) {
-    let clients = parse_clients(args, &usage());
+    let clients = checked_clients(args, ScaleSpec::validate_traced);
     let json = parse_path(args, "--json", &usage());
     let suite = cloudbench::trace_overhead::run_trace_overhead(clients, REPRO_SEED);
     emit(
@@ -273,7 +287,7 @@ fn partition(args: &[String]) {
             )
         }
         None => {
-            let clients = parse_clients(args, &usage());
+            let clients = checked_clients(args, ScaleSpec::validate);
             if partitions > clients {
                 die_usage(
                     &format!("cannot cut {clients} clients into {partitions} non-empty partitions"),
@@ -364,7 +378,7 @@ fn main() {
         "faults" => faults(json),
         "fleet-scale" => {
             fleet_scale(
-                parse_clients(&args, &usage()),
+                checked_clients(&args, ScaleSpec::validate),
                 json,
                 parse_path(&args, "--capture", &usage()),
             );

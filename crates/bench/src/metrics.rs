@@ -12,15 +12,13 @@
 //! completion-time inflation against the fault-free control and resume
 //! efficiency) and the fleet-scale suite (`fleetscale.*` commits per virtual
 //! second, concurrency peak and population-scale dedup from 10k lightweight
-//! clients on the event heap) and the partition runner (`partition.*`
-//! per-partition commit skew, merge overhead and the sum-of-parts ratios
-//! the merge invariants pin to exactly 1.0) and the trace-overhead suite
-//! (`trace.*` packet/flow counts, wire volume and the wire/logical
-//! overhead ratio of the sharded fleet-scale capture — the wall-clock
-//! bound itself lives in the `trace_overhead` Criterion bench, since gate
-//! values must be deterministic), plus `hist.*` log-bucketed
-//! latency quantiles
-//! (sync commits, restore pulls, retry backoff waits and fleet-scale
+//! clients) and the partition runner (`partition.*` per-partition commit
+//! skew, finish skew and merge overhead) and the trace-overhead suite
+//! (`trace.*` wire volume, packet rate and the wire/logical overhead ratio
+//! of the sharded fleet-scale capture — the wall-clock bound itself lives
+//! in the `trace_overhead` Criterion bench, since gate values must be
+//! deterministic), plus `hist.*` log-bucketed latency quantiles (sync
+//! commits, restore pulls, retry backoff waits and fleet-scale
 //! transfers). `repro bench-json` dumps them; the `bench_gate` binary
 //! compares a fresh dump against the committed `bench_baseline.json`.
 
@@ -75,8 +73,7 @@ pub const GATE_SCALE_CLIENTS: usize = 10_000;
 /// Partitions of the partition-runner gate point. Eight-way matches the CI
 /// partition-determinism leg's widest split; the merged suite is
 /// bit-identical to the unsliced `fleetscale.*` run, so only the split's
-/// own accounting (skew, merge overhead, sum-of-parts ratios) is gated
-/// under `partition.*`.
+/// own accounting (skew, merge overhead) is gated under `partition.*`.
 pub const GATE_PARTITIONS: usize = 8;
 
 /// Appends one gate-metric quadruple (`.count`, `.p50_s`, `.p90_s`,
@@ -217,10 +214,10 @@ pub fn collect() -> Vec<(String, f64)> {
     metrics.push(("faults.wasted_ratio_none".to_string(), suite.wasted_ratio("none")));
     hist_metrics(&mut metrics, "hist.backoff", &suite.backoff_hist);
 
-    // The fleet-scale suite: the provider's view of a 10k-client population
-    // on the event heap. Deterministic for any worker count (waves hold
-    // pairwise-distinct clients; store aggregates are order-independent),
-    // so the values are safe to gate byte-for-byte. Wall-clock time is
+    // The fleet-scale suite: the provider's view of a 10k-client
+    // population. Deterministic for any worker count (per-client timelines
+    // are independent; store aggregates are order-independent), so the
+    // values are safe to gate byte-for-byte. Wall-clock time is
     // deliberately absent — it is the one non-deterministic field.
     let suite = cloudbench::scale::run_fleet_scale(GATE_SCALE_CLIENTS, REPRO_SEED);
     metrics.extend(scale_suite_metrics(&suite));
@@ -228,31 +225,25 @@ pub fn collect() -> Vec<(String, f64)> {
     // The partition runner: the same 10k population split eight ways
     // across workers over one shared store. The merged run reproduces the
     // `fleetscale.*` values bit for bit (asserted in the core crate), so
-    // the gate pins the split's own accounting. The sum-of-parts ratios
-    // are exactly 1.0 by the merge invariants — gating them at zero
-    // tolerance means any future merge bug trips the gate immediately.
+    // the gate pins the split's own accounting. The partition count is an
+    // input and the sum-of-parts invariants are exact equalities asserted
+    // in the services crate's partition tests, so neither is gated.
     let suite =
         cloudbench::partition::run_partition_suite(GATE_SCALE_CLIENTS, GATE_PARTITIONS, REPRO_SEED);
-    metrics.push(("partition.partitions".to_string(), suite.partitions as f64));
     metrics.push(("partition.commits".to_string(), suite.merged.commits as f64));
     metrics.push(("partition.commit_skew".to_string(), suite.commit_skew));
     metrics.push(("partition.finish_skew_s".to_string(), suite.finish_skew_s));
     metrics.push(("partition.merge_overhead".to_string(), suite.merge_overhead));
-    metrics.push(("partition.commits_sum_ratio".to_string(), suite.commits_sum_ratio));
-    metrics.push(("partition.bytes_sum_ratio".to_string(), suite.bytes_sum_ratio));
-    metrics.push(("partition.hist_p99_ratio".to_string(), suite.hist_p99_ratio));
-    metrics.push(("partition.curve_overlap".to_string(), suite.curve_overlap));
 
     // The trace-overhead suite: the same 10k population with the sharded
     // packet capture switched on. Every gated value is derived from the
     // merged capture (a pure function of the spec — the merge order is
     // worker-count independent); the wall-clock overhead bound lives in
     // the `trace_overhead` Criterion bench, which is where
-    // non-deterministic numbers belong.
+    // non-deterministic numbers belong. Packet, flow and SYN counts restate
+    // the commit count (`commits x (1 + files)`, `commits`, `commits`) and
+    // are asserted exactly by the core crate's trace-overhead tests.
     let suite = cloudbench::trace_overhead::run_trace_overhead(GATE_SCALE_CLIENTS, REPRO_SEED);
-    metrics.push(("trace.packets".to_string(), suite.packets as f64));
-    metrics.push(("trace.flows".to_string(), suite.flows as f64));
-    metrics.push(("trace.syns".to_string(), suite.syns as f64));
     metrics.push(("trace.wire_mb".to_string(), suite.wire_mb));
     metrics.push(("trace.overhead_ratio".to_string(), suite.overhead_ratio));
     metrics.push(("trace.packets_per_vsec".to_string(), suite.packets_per_vsec));
@@ -346,15 +337,12 @@ mod tests {
         let metrics = collected();
         let partition: Vec<&String> =
             metrics.iter().map(|(k, _)| k).filter(|k| k.starts_with("partition.")).collect();
-        assert!(partition.len() >= 9, "partition.* must be gated, got {partition:?}");
+        assert!(partition.len() >= 4, "partition.* must be gated, got {partition:?}");
         for key in [
-            "partition.partitions",
             "partition.commits",
             "partition.commit_skew",
+            "partition.finish_skew_s",
             "partition.merge_overhead",
-            "partition.commits_sum_ratio",
-            "partition.hist_p99_ratio",
-            "partition.curve_overlap",
         ] {
             assert!(metrics.iter().any(|(k, _)| k == key), "{key} missing from the gate");
         }
@@ -362,13 +350,6 @@ mod tests {
         let fleet = metrics.iter().find(|(k, _)| k == "fleetscale.commits").unwrap().1;
         let part = metrics.iter().find(|(k, _)| k == "partition.commits").unwrap().1;
         assert_eq!(part.to_bits(), fleet.to_bits());
-        // The sum-of-parts ratios are exactly 1.0 — the merge invariants.
-        for key in
-            ["partition.commits_sum_ratio", "partition.bytes_sum_ratio", "partition.hist_p99_ratio"]
-        {
-            let value = metrics.iter().find(|(k, _)| k == key).unwrap().1;
-            assert_eq!(value.to_bits(), 1.0f64.to_bits(), "{key} must be exactly 1.0");
-        }
     }
 
     #[test]
@@ -376,22 +357,10 @@ mod tests {
         let metrics = collected();
         let trace: Vec<&String> =
             metrics.iter().map(|(k, _)| k).filter(|k| k.starts_with("trace.")).collect();
-        assert!(trace.len() >= 6, "trace.* must be gated, got {trace:?}");
-        for key in [
-            "trace.packets",
-            "trace.flows",
-            "trace.syns",
-            "trace.wire_mb",
-            "trace.overhead_ratio",
-            "trace.packets_per_vsec",
-        ] {
+        assert!(trace.len() >= 3, "trace.* must be gated, got {trace:?}");
+        for key in ["trace.wire_mb", "trace.overhead_ratio", "trace.packets_per_vsec"] {
             assert!(metrics.iter().any(|(k, _)| k == key), "{key} missing from the gate");
         }
-        // One flow (and one SYN) per commit: the capture accounts the same
-        // population the fleet-scale gate point drives.
-        let commits = metrics.iter().find(|(k, _)| k == "fleetscale.commits").unwrap().1;
-        let flows = metrics.iter().find(|(k, _)| k == "trace.flows").unwrap().1;
-        assert_eq!(flows.to_bits(), commits.to_bits());
         // The capture's overhead is a thin TCP-header margin over the
         // logical volume — above 1, nowhere near the gate tolerance band.
         let ratio = metrics.iter().find(|(k, _)| k == "trace.overhead_ratio").unwrap().1;

@@ -62,7 +62,9 @@ fn unknown_subcommand_exits_nonzero_and_lists_the_valid_targets() {
 /// The shared-CLI contract: counted flags reject malformed, zero and
 /// dangling values with the usage text at exit 2 on every subcommand,
 /// instead of silently falling back to their defaults (a typo like
-/// `--clients 10k` used to launch a 100 000-client run).
+/// `--clients 10k` used to launch a 100 000-client run), and a client count
+/// whose event or packet totals overflow is refused the same way instead of
+/// panicking or running until killed.
 #[test]
 fn malformed_counted_flags_die_with_usage_everywhere() {
     for args in [
@@ -72,6 +74,12 @@ fn malformed_counted_flags_die_with_usage_everywhere() {
         ["partition", "--clients", "abc"].as_slice(),
         ["trace", "--clients", "-5"].as_slice(),
         ["fig6", "--reps", "zero"].as_slice(),
+        // Parseable, but no population the driver can allocate or address.
+        ["fleet-scale", "--clients", "18446744073709551615"].as_slice(),
+        ["partition", "--clients", "18446744073709551615", "--partitions", "2"].as_slice(),
+        ["trace", "--clients", "18446744073709551615"].as_slice(),
+        // Past 2^24 clients the traced run's 10.x.y.z sources would collide.
+        ["trace", "--clients", "16777217"].as_slice(),
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");

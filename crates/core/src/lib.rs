@@ -37,13 +37,13 @@
 //! signalling, and intra-round arrival jitter on a virtual clock, measuring
 //! start-up delay distributions, the concurrency high-water mark and the
 //! background-vs-payload byte split. [`scale`] takes the final step to
-//! provider scale: 100k+ lightweight clients on the discrete-event heap —
-//! compact state records and metadata-only commits in place of full sync
-//! clients — measuring commits per virtual second, the concurrency peak and
-//! population-scale inter-user dedup (see `docs/ARCHITECTURE.md` for the
-//! engine design). [`partition`] shards that population across N workers
-//! over one shared store and merges the results back bit-identically —
-//! the in-process seam for a distributed agent/controller mode.
+//! provider scale: 100k+ lightweight clients on the scale driver — one
+//! link-free instant per client and metadata-only commits in place of full
+//! sync clients — measuring commits per virtual second, the concurrency
+//! peak and population-scale inter-user dedup (see `docs/ARCHITECTURE.md`
+//! for the driver design). [`partition`] splits that population into N
+//! client sets over one shared store and merges the results back
+//! bit-identically.
 //! [`trace_overhead`] closes the observability loop: the same population
 //! run with capture off and on, proving the sharded trace recorder is a
 //! pure observer and reporting the capture's packet/flow/overhead figures.

@@ -16,15 +16,17 @@
 //!   split landed;
 //! * **finish skew** — the spread of per-partition finish instants;
 //! * **merge overhead** — per-partition wave totals against the merged
-//!   stream's wave count (sub-heaps fragment less, so the ratio is ≥ 1);
-//! * **sum-of-parts ratios** — Σ parts / merged for commits, bytes, the
-//!   p99 of the elementwise-merged histograms and the load-curve overlap,
-//!   all of which the merge invariants pin to exactly 1.0.
+//!   stream's wave count (a partition's own stream fragments less, so the
+//!   ratio is ≥ 1).
+//!
+//! The sum-of-parts invariants (commits, bytes, histograms and load curves
+//! of the parts add up to the whole run's) hold exactly by construction;
+//! the services crate's partition tests assert them as equalities.
 
-use crate::scale::{assemble_suite, scale_spec, FleetScaleSuite, LOAD_CURVE_BUCKETS};
+use crate::scale::{assemble_suite, scale_spec, FleetScaleSuite};
 use cloudsim_services::capture::FleetCapture;
 use cloudsim_services::partition::{replay_partitioned, run_partitioned, PartitionedRun};
-use cloudsim_trace::{LatencyHistogram, SimTime};
+use cloudsim_trace::SimTime;
 use serde::Serialize;
 
 /// One partition's share of the run.
@@ -36,7 +38,7 @@ pub struct PartitionRow {
     pub clients: usize,
     /// Commits the partition performed.
     pub commits: u64,
-    /// Waves the partition's sub-heap split into.
+    /// Waves the partition's own event stream splits into.
     pub waves: usize,
     /// Start of the partition's earliest transfer, in virtual seconds.
     pub first_start_s: f64,
@@ -60,42 +62,9 @@ pub struct PartitionSuite {
     pub commit_skew: f64,
     /// Spread of per-partition finish instants, in virtual seconds.
     pub finish_skew_s: f64,
-    /// Σ per-partition waves / merged wave count (≥ 1: sub-heaps fragment
-    /// less than the interleaved global stream).
+    /// Σ per-partition waves / merged wave count (≥ 1: a partition's own
+    /// stream fragments less than the interleaved global stream).
     pub merge_overhead: f64,
-    /// Σ per-partition commits / merged commits — exactly 1.0 by the
-    /// disjoint-coverage invariant.
-    pub commits_sum_ratio: f64,
-    /// Σ per-partition logical bytes / merged logical bytes — exactly 1.0.
-    pub bytes_sum_ratio: f64,
-    /// p99 of the elementwise-merged per-partition histograms over the
-    /// merged run's p99 — exactly 1.0 (histogram merge is elementwise).
-    pub hist_p99_ratio: f64,
-    /// Load-curve overlap between the summed per-partition curves and the
-    /// merged curve (Σ min / Σ max over buckets) — exactly 1.0.
-    pub curve_overlap: f64,
-}
-
-/// Buckets `intervals` by start instant over the merged run's active span
-/// — the same arithmetic as `ScaleRun::load_curve`, so summing the
-/// partitions' curves elementwise reproduces the merged curve exactly.
-fn curve_over(
-    intervals: &[(SimTime, SimTime)],
-    first: SimTime,
-    span_s: f64,
-    buckets: usize,
-) -> Vec<u64> {
-    let mut curve = vec![0u64; buckets];
-    if span_s <= 0.0 {
-        curve[0] = intervals.len() as u64;
-        return curve;
-    }
-    for &(start, _) in intervals {
-        let frac = (start - first).as_secs_f64() / span_s;
-        let b = ((frac * buckets as f64) as usize).min(buckets - 1);
-        curve[b] += 1;
-    }
-    curve
 }
 
 /// Assembles the suite from a finished partitioned run — the same
@@ -142,44 +111,6 @@ fn assemble_partition_suite(
         1.0
     };
 
-    let part_commits: u64 = parts.iter().map(|p| p.commits).sum();
-    let commits_sum_ratio = if outcome.run.commits > 0 {
-        part_commits as f64 / outcome.run.commits as f64
-    } else {
-        1.0
-    };
-    let part_bytes: u64 = parts.iter().map(|p| p.logical_bytes).sum();
-    let bytes_sum_ratio = if outcome.run.logical_bytes > 0 {
-        part_bytes as f64 / outcome.run.logical_bytes as f64
-    } else {
-        1.0
-    };
-
-    let mut merged_hists = LatencyHistogram::new();
-    for part in parts {
-        merged_hists.merge(&part.transfer_histogram());
-    }
-    let whole_p99 = merged.transfer_hist.p99_s;
-    let hist_p99_ratio =
-        if whole_p99 > 0.0 { merged_hists.summary().p99_s / whole_p99 } else { 1.0 };
-
-    let first = outcome.run.first_start();
-    let span_s = outcome.run.virtual_span_secs();
-    let mut summed = [0u64; LOAD_CURVE_BUCKETS];
-    for part in parts {
-        for (b, count) in
-            curve_over(&part.intervals, first, span_s, LOAD_CURVE_BUCKETS).into_iter().enumerate()
-        {
-            summed[b] += count;
-        }
-    }
-    let (mut mins, mut maxs) = (0u64, 0u64);
-    for (b, &merged_count) in merged.load_curve.iter().enumerate() {
-        mins += summed[b].min(merged_count);
-        maxs += summed[b].max(merged_count);
-    }
-    let curve_overlap = if maxs > 0 { mins as f64 / maxs as f64 } else { 1.0 };
-
     PartitionSuite {
         partitions: parts.len(),
         merged,
@@ -187,10 +118,6 @@ fn assemble_partition_suite(
         commit_skew,
         finish_skew_s,
         merge_overhead,
-        commits_sum_ratio,
-        bytes_sum_ratio,
-        hist_p99_ratio,
-        curve_overlap,
     }
 }
 
@@ -271,11 +198,6 @@ mod tests {
         }
         // The serialised dumps are byte-identical — what CI `cmp`s.
         assert_eq!(Report::to_json(merged), Report::to_json(whole));
-        // The sum-of-parts invariants hold exactly, not approximately.
-        assert_eq!(split.commits_sum_ratio.to_bits(), 1.0f64.to_bits());
-        assert_eq!(split.bytes_sum_ratio.to_bits(), 1.0f64.to_bits());
-        assert_eq!(split.hist_p99_ratio.to_bits(), 1.0f64.to_bits());
-        assert_eq!(split.curve_overlap.to_bits(), 1.0f64.to_bits());
     }
 
     #[test]
@@ -287,7 +209,7 @@ mod tests {
         assert_eq!(split.rows.iter().map(|r| r.commits).sum::<u64>(), split.merged.commits);
         assert!(split.commit_skew >= 1.0);
         assert!(split.finish_skew_s >= 0.0);
-        assert!(split.merge_overhead >= 1.0, "sub-heaps cannot fragment more than the merge");
+        assert!(split.merge_overhead >= 1.0, "partition streams cannot fragment more than the merge");
     }
 
     #[test]

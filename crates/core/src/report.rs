@@ -520,7 +520,7 @@ impl Report {
         let mut body = String::new();
         let _ = writeln!(
             body,
-            "{} clients across {} partitions (shared store, per-partition sub-heaps)",
+            "{} clients across {} partitions (shared store, per-partition event streams)",
             suite.merged.clients, suite.partitions,
         );
         let _ = writeln!(
@@ -539,11 +539,6 @@ impl Report {
             body,
             "\ncommit skew {:.4} (max/mean), finish skew {:.2}s, merge overhead {:.4} (part waves / merged waves)",
             suite.commit_skew, suite.finish_skew_s, suite.merge_overhead,
-        );
-        let _ = writeln!(
-            body,
-            "sum-of-parts checks: commits {:.1}, bytes {:.1}, hist p99 {:.1}, load-curve overlap {:.1} (all exactly 1 by the merge invariants)",
-            suite.commits_sum_ratio, suite.bytes_sum_ratio, suite.hist_p99_ratio, suite.curve_overlap,
         );
         Report {
             title: "Partitioned fleet: worker-sharded clients merged bit-identically".to_string(),

@@ -6,9 +6,10 @@
 //! same property. [`render_capture`] lowers a [`ScaleSpec`] into a compact,
 //! versioned JSONL recording — one header line describing the population,
 //! then one line per commit event `(timestamp, client, op, bytes, content
-//! seeds)` in event-heap order. [`replay`] re-drives a parsed capture
-//! through the same event heap and the same commit executor
-//! ([`crate::scale`]), so:
+//! seeds)` in event key order. [`replay`] hands a parsed capture to the
+//! same driver and commit executor as the live run ([`crate::scale`]) —
+//! the capture is just another workload source, with its mix resolved to
+//! links and round trips up front — so:
 //!
 //! * **same-mix replay is bit-identical**: the capture stores exact
 //!   microsecond instants and the exact content seeds, the replay rebuilds
@@ -26,9 +27,9 @@
 //! line grammar (the vendored `serde_json` is a serialiser only) and
 //! rejects unknown format names and versions up front.
 
-use crate::engine::{EventHeap, FleetEvent, Phase};
+use crate::partition::kway_merge;
 use crate::profile::ServiceProfile;
-use crate::scale::{assemble_run, drive_waves, execute_transfer, scale_user, ScaleRun, ScaleSpec};
+use crate::scale::{drive, ScaleRun, ScaleSpec, Workload};
 use cloudsim_net::AccessLink;
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use cloudsim_trace::{SimDuration, SimTime};
@@ -276,28 +277,10 @@ pub fn merge_slices(slices: &[FleetCapture]) -> Result<FleetCapture, String> {
     }
 
     let total: usize = order.iter().map(|s| s.events.len()).sum();
-    let mut cursors = vec![0usize; order.len()];
     let mut events = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, slice) in order.iter().enumerate() {
-            let Some(candidate) = slice.events.get(cursors[i]) else { continue };
-            let beats = match best {
-                None => true,
-                Some(b) => {
-                    let incumbent = &order[b].events[cursors[b]];
-                    (candidate.at, candidate.client, candidate.round)
-                        < (incumbent.at, incumbent.client, incumbent.round)
-                }
-            };
-            if beats {
-                best = Some(i);
-            }
-        }
-        let Some(b) = best else { break };
-        events.push(order[b].events[cursors[b]].clone());
-        cursors[b] += 1;
-    }
+    let streams: Vec<&[CaptureEvent]> = order.iter().map(|s| s.events.as_slice()).collect();
+    let key = |ev: &CaptureEvent| (ev.at, ev.client, ev.round);
+    kway_merge(&streams, key, |s, i| events.push(order[s].events[i].clone()));
 
     Ok(FleetCapture {
         clients: next_base - first.client_base,
@@ -379,7 +362,8 @@ fn u64_array_field(line: &str, key: &str) -> Result<Vec<u64>, String> {
 
 /// Parses a capture rendered by [`render_capture`] (or by a newer build
 /// writing the same version). Rejects unknown formats and versions, and
-/// validates every event against the header so a truncated or hand-edited
+/// validates every event against the header — each `(client, round)` of
+/// the header recorded exactly once — so a truncated or hand-edited
 /// capture fails loudly instead of replaying garbage.
 pub fn parse_capture(text: &str) -> Result<FleetCapture, String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
@@ -473,12 +457,19 @@ pub fn parse_capture(text: &str) -> Result<FleetCapture, String> {
         }
         events.push(event);
     }
-    if events.len() != clients * commits_per_client {
+    if clients.checked_mul(commits_per_client) != Some(events.len()) {
         return Err(format!(
-            "capture holds {} events but the header promises {}",
-            events.len(),
-            clients * commits_per_client
+            "capture holds {} events but the header promises {clients} clients x \
+             {commits_per_client} commits",
+            events.len()
         ));
+    }
+    let mut seen = vec![false; events.len()];
+    for ev in &events {
+        let slot = &mut seen[(ev.client - client_base) * commits_per_client + ev.round];
+        if std::mem::replace(slot, true) {
+            return Err(format!("capture records client {} round {} twice", ev.client, ev.round));
+        }
     }
 
     Ok(FleetCapture {
@@ -495,81 +486,20 @@ pub fn parse_capture(text: &str) -> Result<FleetCapture, String> {
     })
 }
 
-/// Re-drives a parsed capture through the event heap on up to `workers`
-/// threads. [`ReplayMix::Original`] reproduces the recorded run bit for
-/// bit; the other mixes substitute one factor and hold the workload fixed.
+/// Re-drives a parsed capture on up to `workers` threads, one round-robin
+/// stripe of clients per worker. [`ReplayMix::Original`] reproduces the
+/// recorded run bit for bit; the other mixes substitute one factor and hold
+/// the workload fixed.
 pub fn replay(capture: &FleetCapture, mix: &ReplayMix, workers: usize) -> Result<ScaleRun, String> {
-    let links: Vec<AccessLink> = match mix {
-        ReplayMix::Link(link) => vec![*link],
-        ReplayMix::Original | ReplayMix::Profile(_) => capture
-            .link_names
-            .iter()
-            .map(|name| {
-                AccessLink::by_name(name)
-                    .ok_or_else(|| format!("capture references unknown link preset \"{name}\""))
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let rtts_per_commit = match mix {
-        ReplayMix::Profile(profile) if !profile.bundles() => capture.files_per_commit as u64,
-        _ => 1,
-    };
-
-    // Content seeds keyed by capture-local (client, round) so the executor
-    // can look an event's commit up without threading the capture through
-    // the heap. Heap events are capture-local too (state records are a
-    // dense per-slice array); the executor maps back to the global index
-    // for the store keyspace and the round-robin link assignment, so a
-    // slice replays exactly the clients' share of the unsliced run.
-    let base = capture.client_base;
-    let mut seeds: Vec<&[u64]> = vec![&[]; capture.clients * capture.commits_per_client];
-    let mut heap_events = Vec::with_capacity(capture.events.len());
-    for ev in &capture.events {
-        let local = ev.client - base;
-        seeds[local * capture.commits_per_client + ev.round] = &ev.content_seeds;
-        heap_events.push(FleetEvent {
-            at: ev.at,
-            phase: Phase::Sync,
-            client: local,
-            round: ev.round,
-        });
-    }
-    let heap = EventHeap::from_events(heap_events);
-
+    let workload = Workload::from_capture(capture, mix)?;
     let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
-    let started = std::time::Instant::now();
-    let (states, intervals) = drive_waves(heap, capture.clients, workers, |ev, state| {
-        let global = ev.client + base;
-        execute_transfer(
-            &store,
-            &scale_user(global),
-            &links[global % links.len()],
-            ev.round,
-            capture.files_per_commit,
-            capture.file_size,
-            capture.shared_files_per_commit,
-            rtts_per_commit,
-            ev.at,
-            |f| seeds[ev.client * capture.commits_per_client + ev.round][f],
-            state,
-        )
-    });
-    let files = capture.clients as u64
-        * capture.commits_per_client as u64
-        * capture.files_per_commit as u64;
-    Ok(assemble_run(capture.clients, files, &states, intervals, store, started))
-}
-
-/// [`replay`] with one worker per host core — the replay twin of
-/// [`crate::scale::run_scale_concurrent`].
-pub fn replay_concurrent(capture: &FleetCapture, mix: &ReplayMix) -> Result<ScaleRun, String> {
-    replay(capture, mix, cloudsim_parallel::available_workers())
+    Ok(drive(&workload, &workload.stripes(workers), store, &mut vec![None; workers.max(1)]).run)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scale::run_scale_concurrent;
+    use crate::scale::{run_scale, scale_user};
 
     fn small_spec() -> ScaleSpec {
         ScaleSpec::new(48).with_seed(0xCAB)
@@ -597,9 +527,9 @@ mod tests {
     #[test]
     fn same_mix_replay_is_bit_identical_to_the_original_run() {
         let spec = small_spec();
-        let original = run_scale_concurrent(&spec);
+        let original = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 2);
         let capture = parse_capture(&render_capture(&spec)).unwrap();
-        let replayed = replay_concurrent(&capture, &ReplayMix::Original).unwrap();
+        let replayed = replay(&capture, &ReplayMix::Original, 3).unwrap();
 
         assert_eq!(replayed.clients, original.clients);
         assert_eq!(replayed.commits, original.commits);
@@ -620,9 +550,9 @@ mod tests {
     #[test]
     fn link_remap_shifts_timing_but_preserves_the_workload() {
         let spec = small_spec();
-        let original = run_scale_concurrent(&spec);
+        let original = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 2);
         let capture = parse_capture(&render_capture(&spec)).unwrap();
-        let remapped = replay_concurrent(&capture, &ReplayMix::Link(AccessLink::adsl())).unwrap();
+        let remapped = replay(&capture, &ReplayMix::Link(AccessLink::adsl()), 3).unwrap();
 
         // The workload is identical...
         assert_eq!(remapped.commits, original.commits);
@@ -632,20 +562,20 @@ mod tests {
         // ...but every client now uploads through ADSL, so the mixed-link
         // timeline is gone.
         assert_ne!(remapped.intervals, original.intervals);
-        let all_adsl = replay_concurrent(&capture, &ReplayMix::Link(AccessLink::adsl())).unwrap();
-        assert_eq!(all_adsl.intervals, remapped.intervals, "replay must be deterministic");
+        let all_adsl = replay(&capture, &ReplayMix::Link(AccessLink::adsl()), 1).unwrap();
+        assert_eq!(all_adsl.intervals, remapped.intervals, "replay must be worker-invariant");
     }
 
     #[test]
     fn profile_remap_charges_per_file_round_trips() {
         let spec = small_spec();
         let capture = parse_capture(&render_capture(&spec)).unwrap();
-        let bundled = replay_concurrent(&capture, &ReplayMix::Original).unwrap();
+        let bundled = replay(&capture, &ReplayMix::Original, 3).unwrap();
         let per_file = ServiceProfile::all()
             .into_iter()
             .find(|p| !p.bundles())
             .expect("some profile must not bundle");
-        let unbundled = replay_concurrent(&capture, &ReplayMix::Profile(per_file)).unwrap();
+        let unbundled = replay(&capture, &ReplayMix::Profile(per_file), 3).unwrap();
 
         assert_eq!(unbundled.aggregate(), bundled.aggregate());
         // Every commit pays files_per_commit RTTs instead of one, so no
@@ -659,7 +589,7 @@ mod tests {
         assert!(longer > 0, "per-file round trips must slow some transfers");
         // A bundling profile replays exactly like the original mix.
         let still_bundled = ServiceProfile::all().into_iter().find(|p| p.bundles()).unwrap();
-        let same = replay_concurrent(&capture, &ReplayMix::Profile(still_bundled)).unwrap();
+        let same = replay(&capture, &ReplayMix::Profile(still_bundled), 3).unwrap();
         assert_eq!(same.intervals, bundled.intervals);
     }
 
@@ -719,9 +649,9 @@ mod tests {
     fn slice_replay_matches_the_clients_share_of_the_unsliced_run() {
         let spec = small_spec();
         let capture = capture_of_spec(&spec);
-        let whole = replay_concurrent(&capture, &ReplayMix::Original).unwrap();
+        let whole = replay(&capture, &ReplayMix::Original, 3).unwrap();
         let slices = slice_capture(&capture, &[(0, 20), (20, 48)]).unwrap();
-        let tail = replay_concurrent(&slices[1], &ReplayMix::Original).unwrap();
+        let tail = replay(&slices[1], &ReplayMix::Original, 3).unwrap();
         assert_eq!(tail.clients, 28);
         // The slice commits under the same global user names, so its store
         // contents are exactly those clients' share of the whole run.
@@ -759,7 +689,7 @@ mod tests {
         let spec = ScaleSpec::new(2).with_seed(1);
         let text = render_capture(&spec).replacen("\"campus\"", "\"dialup\"", 1);
         let capture = parse_capture(&text).unwrap();
-        let err = replay_concurrent(&capture, &ReplayMix::Original).unwrap_err();
+        let err = replay(&capture, &ReplayMix::Original, 3).unwrap_err();
         assert!(err.contains("dialup"));
     }
 }

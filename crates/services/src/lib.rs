@@ -19,11 +19,12 @@
 //! bit-identically. [`engine`] lowers such a schedule onto a time-ordered
 //! event heap — `(timestamp, phase, client)` entries popped one at a time,
 //! each touching only its client's state — which is what the fleet loop
-//! actually executes; [`scale`] rides the same heap with compact per-client
-//! state records (no [`client::SyncClient`] at all) to reach 100k–1M
-//! clients, [`partition`] shards that population into disjoint client sets
-//! driven by independent workers whose results merge back bit-identically,
-//! and [`session`]/[`retry`] add resumable transfers and seeded backoff
+//! actually executes; [`scale`] runs compact per-client state records (no
+//! [`client::SyncClient`] at all) to reach 100k–1M clients: one driver
+//! steps disjoint client sets on long-lived workers and merges them back
+//! bit-identically, whether the population comes from a live spec, a
+//! [`capture`] or a remapped capture; [`partition`] exposes that split; and
+//! [`session`]/[`retry`] add resumable transfers and seeded backoff
 //! under injected link faults. `docs/ARCHITECTURE.md` at the
 //! repository root walks through the whole lifecycle.
 //!
@@ -51,8 +52,7 @@ pub mod session;
 
 pub use capture::{
     capture_of_spec, merge_slices, parse_capture, render_capture, render_fleet_capture, replay,
-    replay_concurrent, slice_capture, CaptureEvent, FleetCapture, ReplayMix, CAPTURE_FORMAT,
-    CAPTURE_VERSION,
+    slice_capture, CaptureEvent, FleetCapture, ReplayMix, CAPTURE_FORMAT, CAPTURE_VERSION,
 };
 pub use client::{
     FaultedRestoreOutcome, FaultedSyncOutcome, RestoreOutcome, SyncClient, SyncOutcome,
@@ -64,11 +64,10 @@ pub use fleet::{
     FleetRun, FleetSpec,
 };
 pub use partition::{
-    capture_partitions, partition_ranges, replay_partitioned, run_partition, run_partitioned,
-    spec_partitions, ClientSet, PartitionRun, PartitionSpec, PartitionWorkload, PartitionedRun,
+    partition_ranges, replay_partitioned, run_partitioned, ClientSet, PartitionRun, PartitionedRun,
 };
 pub use retry::{ExponentialBackoff, NoRetry, RetryConfig, RetryPolicy};
-pub use scale::{run_scale, run_scale_concurrent, run_scale_sequential, ScaleRun, ScaleSpec};
+pub use scale::{run_scale, ScaleRun, ScaleSpec};
 pub use schedule::{ClientSchedule, FleetSchedule, RoundEvent, SyncActivation, ThinkTime};
 pub use session::{FaultStats, RangedRestore, UploadSession};
 

@@ -1,46 +1,21 @@
-//! Worker-sharded partition runner: the fleet population split into N
-//! disjoint client sets, each driven by its own worker against the one
-//! shared sharded [`ObjectStore`].
+//! Partitioned runs: the fleet population split into disjoint client sets,
+//! driven against the one shared [`ObjectStore`] and merged back.
 //!
-//! The controller derives the event heap once (from a live [`ScaleSpec`]
-//! or a parsed [`FleetCapture`]), cuts the population into disjoint
-//! [`ClientSet`]s — contiguous ranges over a capture (the slice doubles as
-//! the work-distribution unit, see [`slice_capture`]), round-robin stripes
-//! over a live spec — and hands each partition a self-contained
-//! [`PartitionSpec`]. A worker drives its partition's sub-heap through the
-//! exact same executor as the unsliced run ([`crate::scale`]) and returns a
-//! [`PartitionRun`]; the controller then merges the per-partition state:
-//!
-//! * **busy-chaining is per-client**: a client's commits serialise on its
-//!   own link and never touch another client's state, so driving a client's
-//!   events inside any partition produces the same intervals as the
-//!   unsliced heap;
-//! * **store aggregates are commutative**: all partitions commit into the
-//!   one shared store, whose accounting is order-independent — the same
-//!   property that already makes waves parallelisable;
-//! * **interval and histogram merges are order-independent**: per-partition
-//!   event streams are subsequences of the globally key-ordered stream, so
-//!   a k-way merge by [`FleetEvent::key`] reconstructs the global heap pop
-//!   order exactly, and histogram merge is elementwise bucket addition.
-//!
-//! Together these make a partitioned run **bit-identical** to the unsliced
-//! run for every derived metric, whatever the partition count — asserted
-//! with `to_bits` equality at 10k clients in the bench crate and `cmp`ed
-//! byte for byte by the CI partition-determinism leg.
-//!
-//! The worker-facing API is deliberately free of shared-memory assumptions
-//! beyond the store handle: a [`PartitionSpec`] is pure data (a capture
-//! slice serialises to the versioned JSONL format), and a [`PartitionRun`]
-//! is plain state records, events and intervals — the seam for a future
-//! multi-process mode where workers live in separate processes and ship
-//! their runs back over a pipe.
+//! A partitioned run is the scale driver ([`crate::scale`]) with the split
+//! made explicit: [`run_partitioned`] cuts a live [`ScaleSpec`] into
+//! round-robin stripes and [`replay_partitioned`] cuts a [`FleetCapture`]
+//! into contiguous [`ClientSet::Range`]s. [`merge_partitions`] recombines
+//! the finished [`PartitionRun`]s **bit-identically** to the unsliced run,
+//! whatever the partition count: a client's commits serialise on its own
+//! link only, store aggregates commute, and each set's event stream is a
+//! subsequence of the global [`FleetEvent::key`] order, so a k-way merge
+//! reconstructs it exactly. `docs/ARCHITECTURE.md` spells out the
+//! invariants; the bench crate asserts them with `to_bits` equality at 10k
+//! clients and CI `cmp`s the dumps.
 
-use crate::capture::{slice_capture, FleetCapture};
-use crate::engine::{wave_count, EventHeap, FleetEvent, Phase};
-use crate::scale::{
-    assemble_run, drive_waves, execute_transfer, scale_user, ScaleClientState, ScaleRun, ScaleSpec,
-};
-use cloudsim_net::AccessLink;
+use crate::capture::{FleetCapture, ReplayMix};
+use crate::engine::{wave_count, FleetEvent};
+use crate::scale::{drive, ScaleRun, ScaleSpec, Workload};
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use cloudsim_trace::{LatencyHistogram, SimTime};
 
@@ -55,33 +30,34 @@ pub enum ClientSet {
         /// One past the last global client index.
         end: usize,
     },
-    /// Every `step`-th client of a `total`-client population starting at
-    /// `offset` — the round-robin split over a live spec, which balances
-    /// the link mix (links are assigned round-robin too) across partitions.
+    /// Every `step`-th client from `offset` up to (excluding) `total` —
+    /// the round-robin split, which balances the link mix (links are
+    /// assigned round-robin too) across partitions.
     Stripe {
         /// First global client index of the stripe.
         offset: usize,
         /// Distance between consecutive stripe members (the partition
         /// count).
         step: usize,
-        /// Clients in the whole population.
+        /// One past the population's last global client index (its size
+        /// when it starts at client 0).
         total: usize,
     },
 }
 
 impl ClientSet {
+    /// The set as `(first, step, end)`: a range is a stripe of step 1.
+    fn bounds(&self) -> (usize, usize, usize) {
+        match *self {
+            ClientSet::Range { start, end } => (start, 1, end),
+            ClientSet::Stripe { offset, step, total } => (offset, step, total),
+        }
+    }
+
     /// Clients in the set.
     pub fn len(&self) -> usize {
-        match *self {
-            ClientSet::Range { start, end } => end.saturating_sub(start),
-            ClientSet::Stripe { offset, step, total } => {
-                if offset >= total {
-                    0
-                } else {
-                    (total - offset - 1) / step + 1
-                }
-            }
-        }
+        let (first, step, end) = self.bounds();
+        end.saturating_sub(first).div_ceil(step)
     }
 
     /// True when the set holds no clients.
@@ -91,24 +67,14 @@ impl ClientSet {
 
     /// True when the set owns global client `id`.
     pub fn contains(&self, id: usize) -> bool {
-        match *self {
-            ClientSet::Range { start, end } => (start..end).contains(&id),
-            ClientSet::Stripe { offset, step, total } => {
-                id < total && id >= offset && (id - offset).is_multiple_of(step)
-            }
-        }
+        self.local_index(id).is_some()
     }
 
     /// The set-local index of global client `id`, if the set owns it. The
     /// inverse of [`ClientSet::global_id`].
     pub fn local_index(&self, id: usize) -> Option<usize> {
-        if !self.contains(id) {
-            return None;
-        }
-        Some(match *self {
-            ClientSet::Range { start, .. } => id - start,
-            ClientSet::Stripe { offset, step, .. } => (id - offset) / step,
-        })
+        let (first, step, end) = self.bounds();
+        (first..end).contains(&id).then(|| id - first).filter(|d| d % step == 0).map(|d| d / step)
     }
 
     /// The global index of the set's `local`-th client.
@@ -118,10 +84,8 @@ impl ClientSet {
             "local index {local} outside the {}-client set",
             self.len()
         );
-        match *self {
-            ClientSet::Range { start, .. } => start + local,
-            ClientSet::Stripe { offset, step, .. } => offset + local * step,
-        }
+        let (first, step, _) = self.bounds();
+        first + local * step
     }
 
     /// The set's global client indices in local order.
@@ -130,54 +94,27 @@ impl ClientSet {
     }
 }
 
-/// The workload one partition drives — pure data either way.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PartitionWorkload {
-    /// Derive the partition's events live from the spec (the partition
-    /// only fires events of the clients its set owns).
-    Spec(ScaleSpec),
-    /// Replay a capture slice — the work-distribution unit a controller
-    /// can hand to an out-of-process worker as versioned JSONL.
-    Slice(FleetCapture),
-}
-
-/// Everything one worker needs to drive its partition: the client set it
-/// owns and the workload to derive events from. No shared memory beyond
-/// the store handle passed to [`run_partition`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartitionSpec {
-    /// The partition's index among its siblings.
-    pub index: usize,
-    /// The global clients this partition owns.
-    pub clients: ClientSet,
-    /// Where the partition's events come from.
-    pub workload: PartitionWorkload,
-}
-
-/// One finished partition: the driven state, the partition's events in
-/// heap order (global client indices) and the matching transfer intervals.
-/// Plain data — nothing here assumes the worker shared an address space
-/// with the controller.
+/// One finished partition: its events in key order (global client
+/// indices), the matching transfer intervals and its totals.
 #[derive(Debug, Clone)]
 pub struct PartitionRun {
     /// The partition's index among its siblings.
     pub index: usize,
     /// The global clients the partition drove.
     pub clients: ClientSet,
-    /// The partition's events in heap pop order, with global client
-    /// indices — each stream is a subsequence of the unsliced run's global
-    /// event order, which is what makes the k-way merge exact.
+    /// The partition's events in key order, with global client indices —
+    /// each stream is a subsequence of the unsliced run's global event
+    /// order, which is what makes the k-way merge exact.
     pub events: Vec<FleetEvent>,
     /// Transfer intervals, parallel to `events`.
     pub intervals: Vec<(SimTime, SimTime)>,
-    /// Waves the partition's own sub-heap split into.
+    /// Waves the partition's own event stream splits into
+    /// ([`wave_count`]).
     pub waves: usize,
     /// Commits the partition performed.
     pub commits: u64,
     /// Plaintext bytes the partition committed.
     pub logical_bytes: u64,
-    /// Per-client state records in set-local order.
-    pub(crate) states: Vec<ScaleClientState>,
 }
 
 impl PartitionRun {
@@ -201,7 +138,8 @@ impl PartitionRun {
 
 /// Near-equal contiguous ranges splitting `clients` into `partitions`
 /// parts: the first `clients % partitions` ranges get one extra client.
-/// Capture-local, half-open — exactly what [`slice_capture`] consumes.
+/// Capture-local, half-open — exactly what
+/// [`crate::capture::slice_capture`] consumes.
 pub fn partition_ranges(clients: usize, partitions: usize) -> Vec<(usize, usize)> {
     assert!(partitions > 0, "need at least one partition");
     let base = clients / partitions;
@@ -216,202 +154,31 @@ pub fn partition_ranges(clients: usize, partitions: usize) -> Vec<(usize, usize)
     ranges
 }
 
-/// Cuts a live spec into `partitions` round-robin stripes. Striping keeps
-/// every partition's link mix representative (links are assigned
-/// round-robin over global client indices too).
-pub fn spec_partitions(spec: &ScaleSpec, partitions: usize) -> Vec<PartitionSpec> {
-    assert!(partitions > 0, "need at least one partition");
-    (0..partitions)
-        .map(|k| PartitionSpec {
-            index: k,
-            clients: ClientSet::Stripe { offset: k, step: partitions, total: spec.clients },
-            workload: PartitionWorkload::Spec(spec.clone()),
-        })
-        .collect()
-}
-
-/// Cuts a capture into `partitions` contiguous slices via
-/// [`slice_capture`] and wraps each as a partition spec. Fails when the
-/// capture holds fewer clients than partitions.
-pub fn capture_partitions(
-    capture: &FleetCapture,
-    partitions: usize,
-) -> Result<Vec<PartitionSpec>, String> {
-    if partitions == 0 {
-        return Err("need at least one partition".into());
+/// K-way merges `streams`, each sorted by `key`, calling `emit(stream,
+/// index)` for every element in global key order. Keys are distinct across
+/// streams, so the merge is independent of the streams' order.
+pub(crate) fn kway_merge<T, K: Ord>(
+    streams: &[&[T]],
+    key: impl Fn(&T) -> K,
+    mut emit: impl FnMut(usize, usize),
+) {
+    let mut cursors = vec![0usize; streams.len()];
+    while let Some(s) = (0..streams.len())
+        .filter(|&s| cursors[s] < streams[s].len())
+        .min_by_key(|&s| key(&streams[s][cursors[s]]))
+    {
+        emit(s, cursors[s]);
+        cursors[s] += 1;
     }
-    if partitions > capture.clients {
-        return Err(format!(
-            "cannot cut {} clients into {partitions} non-empty partitions",
-            capture.clients
-        ));
-    }
-    let ranges = partition_ranges(capture.clients, partitions);
-    let slices = slice_capture(capture, &ranges)?;
-    Ok(slices
-        .into_iter()
-        .enumerate()
-        .map(|(k, slice)| PartitionSpec {
-            index: k,
-            clients: ClientSet::Range {
-                start: slice.client_base,
-                end: slice.client_base + slice.clients,
-            },
-            workload: PartitionWorkload::Slice(slice),
-        })
-        .collect())
-}
-
-/// Drives one partition on up to `workers` threads against the shared
-/// store. The partition's events run through the same wave machinery and
-/// the same commit executor as the unsliced run; only the state array is
-/// set-local. Returns the partition's events (global indices, heap order)
-/// alongside the driven state.
-pub fn run_partition(
-    part: &PartitionSpec,
-    store: &ObjectStore,
-    workers: usize,
-) -> Result<PartitionRun, String> {
-    // The partition's events, in global heap order with global client ids.
-    let mut events: Vec<FleetEvent> = match &part.workload {
-        PartitionWorkload::Spec(spec) => {
-            spec.validate();
-            let mut events = Vec::with_capacity(part.clients.len() * spec.commits_per_client);
-            for i in part.clients.iter() {
-                if i >= spec.clients {
-                    return Err(format!(
-                        "partition {} owns client {i} outside the {}-client spec",
-                        part.index, spec.clients
-                    ));
-                }
-                for k in 0..spec.commits_per_client {
-                    events.push(FleetEvent {
-                        at: spec.commit_at(i, k),
-                        phase: Phase::Sync,
-                        client: i,
-                        round: k,
-                    });
-                }
-            }
-            events
-        }
-        PartitionWorkload::Slice(capture) => {
-            let expected = ClientSet::Range {
-                start: capture.client_base,
-                end: capture.client_base + capture.clients,
-            };
-            if part.clients != expected {
-                return Err(format!(
-                    "partition {} owns {:?} but its slice covers {:?}",
-                    part.index, part.clients, expected
-                ));
-            }
-            capture
-                .events
-                .iter()
-                .map(|ev| FleetEvent {
-                    at: ev.at,
-                    phase: Phase::Sync,
-                    client: ev.client,
-                    round: ev.round,
-                })
-                .collect()
-        }
-    };
-    events.sort();
-
-    // Seed lookup for the slice path, keyed by set-local (client, round).
-    let seeds: Vec<&[u64]> = match &part.workload {
-        PartitionWorkload::Spec(_) => Vec::new(),
-        PartitionWorkload::Slice(capture) => {
-            let mut seeds: Vec<&[u64]> = vec![&[]; capture.clients * capture.commits_per_client];
-            for ev in &capture.events {
-                let local = ev.client - capture.client_base;
-                seeds[local * capture.commits_per_client + ev.round] = &ev.content_seeds;
-            }
-            seeds
-        }
-    };
-    let slice_links: Vec<AccessLink> = match &part.workload {
-        PartitionWorkload::Spec(_) => Vec::new(),
-        PartitionWorkload::Slice(capture) => capture
-            .link_names
-            .iter()
-            .map(|name| {
-                AccessLink::by_name(name)
-                    .ok_or_else(|| format!("capture references unknown link preset \"{name}\""))
-            })
-            .collect::<Result<_, _>>()?,
-    };
-
-    // The sub-heap indexes states by set-local client; the executor maps
-    // back to the global index for the store keyspace and link assignment,
-    // so the partition commits exactly its clients' share of the unsliced
-    // run.
-    let local_events: Vec<FleetEvent> = events
-        .iter()
-        .map(|ev| {
-            let local = part.clients.local_index(ev.client).ok_or_else(|| {
-                format!("partition {} event touches unowned client {}", part.index, ev.client)
-            })?;
-            Ok(FleetEvent { at: ev.at, phase: ev.phase, client: local, round: ev.round })
-        })
-        .collect::<Result<_, String>>()?;
-    let heap = EventHeap::from_events(local_events);
-
-    let (states, intervals) = drive_waves(heap, part.clients.len(), workers, |ev, state| {
-        let global = part.clients.global_id(ev.client);
-        match &part.workload {
-            PartitionWorkload::Spec(spec) => execute_transfer(
-                store,
-                &scale_user(global),
-                spec.link(global),
-                ev.round,
-                spec.files_per_commit,
-                spec.file_size,
-                spec.shared_files_per_commit(),
-                1,
-                ev.at,
-                |f| spec.content_seed(global, ev.round, f),
-                state,
-            ),
-            PartitionWorkload::Slice(capture) => execute_transfer(
-                store,
-                &scale_user(global),
-                &slice_links[global % slice_links.len()],
-                ev.round,
-                capture.files_per_commit,
-                capture.file_size,
-                capture.shared_files_per_commit,
-                1,
-                ev.at,
-                |f| seeds[ev.client * capture.commits_per_client + ev.round][f],
-                state,
-            ),
-        }
-    });
-
-    let waves = wave_count(&events);
-    Ok(PartitionRun {
-        index: part.index,
-        clients: part.clients.clone(),
-        commits: states.iter().map(|s| s.commits as u64).sum(),
-        logical_bytes: states.iter().map(|s| s.logical_bytes).sum(),
-        events,
-        intervals,
-        waves,
-        states,
-    })
 }
 
 /// Merges finished partitions back into one [`ScaleRun`], in any partition
 /// order. Validates that the partitions exactly tile the global client
-/// range `[client_base, client_base + clients)`, scatters the state
-/// records by global id, and k-way merges the per-partition
-/// (event, interval) streams by [`FleetEvent::key`] — each stream is a
-/// subsequence of the globally ordered stream, so the merge reconstructs
-/// the unsliced heap pop order exactly. Returns the merged run plus the
-/// wave count of the merged event stream.
+/// range `[client_base, client_base + clients)`, sums the partitions'
+/// totals, and k-way merges the per-partition (event, interval) streams by
+/// [`FleetEvent::key`] — each stream is a subsequence of the globally
+/// ordered stream, so the merge reconstructs the unsliced order exactly.
+/// Returns the merged run plus the wave count of the merged event stream.
 pub fn merge_partitions(
     client_base: usize,
     clients: usize,
@@ -440,37 +207,25 @@ pub fn merge_partitions(
         return Err(format!("no partition owns client {}", client_base + orphan));
     }
 
-    let mut states = vec![ScaleClientState::default(); clients];
-    for part in parts {
-        for (local, id) in part.clients.iter().enumerate() {
-            states[id - client_base] = part.states[local];
-        }
-    }
-
     let total: usize = parts.iter().map(|p| p.events.len()).sum();
-    let mut cursors = vec![0usize; parts.len()];
     let mut merged_events = Vec::with_capacity(total);
     let mut intervals = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, part) in parts.iter().enumerate() {
-            let Some(candidate) = part.events.get(cursors[i]) else { continue };
-            let beats = match best {
-                None => true,
-                Some(b) => candidate.key() < parts[b].events[cursors[b]].key(),
-            };
-            if beats {
-                best = Some(i);
-            }
-        }
-        let Some(b) = best else { break };
-        merged_events.push(parts[b].events[cursors[b]]);
-        intervals.push(parts[b].intervals[cursors[b]]);
-        cursors[b] += 1;
-    }
+    let streams: Vec<&[FleetEvent]> = parts.iter().map(|p| p.events.as_slice()).collect();
+    kway_merge(&streams, FleetEvent::key, |p, i| {
+        merged_events.push(parts[p].events[i]);
+        intervals.push(parts[p].intervals[i]);
+    });
 
-    let waves = wave_count(&merged_events);
-    Ok((assemble_run(clients, files, &states, intervals, store, started), waves))
+    let run = ScaleRun {
+        clients,
+        commits: parts.iter().map(|p| p.commits).sum(),
+        files,
+        logical_bytes: parts.iter().map(|p| p.logical_bytes).sum(),
+        intervals,
+        store,
+        elapsed: started.elapsed(),
+    };
+    Ok((run, wave_count(&merged_events)))
 }
 
 /// A merged partitioned run: the recombined [`ScaleRun`] (bit-identical to
@@ -487,73 +242,78 @@ pub struct PartitionedRun {
     pub merged_waves: usize,
 }
 
-/// The controller: runs the prepared partitions concurrently against one
-/// shared store and merges the results. Worker threads are divided evenly
-/// across partitions.
-fn run_controller(
-    parts: &[PartitionSpec],
-    client_base: usize,
-    clients: usize,
-    files: u64,
-) -> Result<PartitionedRun, String> {
-    let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
-    let started = std::time::Instant::now();
-    let k = parts.len().max(1);
-    let available = cloudsim_parallel::available_workers();
-    let per_partition = (available / k).max(1);
-    let results: Vec<Result<PartitionRun, String>> = cloudsim_parallel::run_indexed(
-        available.min(k),
-        parts.len(),
-        || (),
-        |(), i| run_partition(&parts[i], &store, per_partition),
-    );
-    let mut finished = Vec::with_capacity(parts.len());
-    for result in results {
-        finished.push(result?);
-    }
-    let (run, merged_waves) =
-        merge_partitions(client_base, clients, files, &finished, store, started)?;
-    Ok(PartitionedRun { run, parts: finished, merged_waves })
-}
-
-/// Runs a live spec split into `partitions` round-robin stripes. The
-/// merged run is bit-identical to [`crate::scale::run_scale_concurrent`]
-/// on the same spec, whatever the partition count.
+/// Runs a live spec split into `partitions` round-robin stripes on one
+/// worker per host core. The merged run is bit-identical to
+/// [`crate::scale::run_scale`] on the same spec, whatever the partition
+/// count. Panics when [`ScaleSpec::validate`] rejects the spec or the
+/// partition count is outside `[1, clients]`.
 pub fn run_partitioned(spec: &ScaleSpec, partitions: usize) -> PartitionedRun {
-    spec.validate();
+    spec.validate().unwrap_or_else(|e| panic!("{e}"));
     assert!(
         partitions > 0 && partitions <= spec.clients,
         "partition count must be within [1, {}], got {partitions}",
         spec.clients
     );
-    let parts = spec_partitions(spec, partitions);
-    let files = spec.clients as u64 * spec.commits_per_client as u64 * spec.files_per_commit as u64;
-    run_controller(&parts, 0, spec.clients, files)
-        .expect("spec-derived partitions tile the population by construction")
+    let workload = Workload::from_spec(spec);
+    run_sets(&workload, &workload.stripes(partitions))
 }
 
-/// Replays a capture split into `partitions` contiguous slices. The merged
-/// run is bit-identical to an unsliced [`crate::capture::replay`] of the
-/// same capture (and, for a spec-derived capture, to the live run).
+/// Replays a capture split into `partitions` contiguous client ranges. The
+/// merged run is bit-identical to an unsliced [`crate::capture::replay`] of
+/// the same capture (and, for a spec-derived capture, to the live run).
 pub fn replay_partitioned(
     capture: &FleetCapture,
     partitions: usize,
 ) -> Result<PartitionedRun, String> {
-    let parts = capture_partitions(capture, partitions)?;
-    let files = capture.clients as u64
-        * capture.commits_per_client as u64
-        * capture.files_per_commit as u64;
-    run_controller(&parts, capture.client_base, capture.clients, files)
+    if partitions == 0 || partitions > capture.clients {
+        return Err(format!(
+            "cannot cut {} clients into {partitions} non-empty partitions",
+            capture.clients
+        ));
+    }
+    let workload = Workload::from_capture(capture, &ReplayMix::Original)?;
+    let base = capture.client_base;
+    let sets: Vec<ClientSet> = partition_ranges(capture.clients, partitions)
+        .into_iter()
+        .map(|(start, end)| ClientSet::Range { start: base + start, end: base + end })
+        .collect();
+    Ok(run_sets(&workload, &sets))
+}
+
+/// Drives `sets` on one worker per host core against a fresh store.
+fn run_sets(workload: &Workload, sets: &[ClientSet]) -> PartitionedRun {
+    let workers = cloudsim_parallel::available_workers();
+    drive(workload, sets, ObjectStore::with_policy(GcPolicy::MarkSweep), &mut vec![None; workers])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::{capture_of_spec, replay_concurrent, ReplayMix};
-    use crate::scale::run_scale_concurrent;
+    use crate::capture::{capture_of_spec, replay};
+    use crate::scale::{bucket_starts, run_scale};
 
     fn small_spec() -> ScaleSpec {
         ScaleSpec::new(60).with_seed(0xFACE)
+    }
+
+    /// The exact sum-of-parts invariants: the partitions' commits and bytes
+    /// add up to the whole run's totals, their histograms merge to the
+    /// whole run's histogram, and their load curves — bucketed over the
+    /// whole run's span — sum to the whole run's curve.
+    fn assert_parts_sum_to(split: &PartitionedRun, whole: &ScaleRun) {
+        let parts = &split.parts;
+        assert_eq!(parts.iter().map(|p| p.commits).sum::<u64>(), whole.commits);
+        assert_eq!(parts.iter().map(|p| p.logical_bytes).sum::<u64>(), whole.logical_bytes);
+        let mut hist = LatencyHistogram::new();
+        let mut curve = vec![0u64; 12];
+        for part in parts {
+            hist.merge(&part.transfer_histogram());
+            let part_curve =
+                bucket_starts(&part.intervals, whole.first_start(), whole.last_end(), 12);
+            curve.iter_mut().zip(part_curve).for_each(|(sum, count)| *sum += count);
+        }
+        assert_eq!(hist, whole.transfer_histogram());
+        assert_eq!(curve, whole.load_curve(12));
     }
 
     #[test]
@@ -585,7 +345,7 @@ mod tests {
     #[test]
     fn striped_partitions_recombine_bit_identically_to_the_unsliced_run() {
         let spec = small_spec();
-        let whole = run_scale_concurrent(&spec);
+        let whole = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 2);
         for partitions in [1usize, 2, 7] {
             let split = run_partitioned(&spec, partitions);
             assert_eq!(split.run.commits, whole.commits);
@@ -600,7 +360,7 @@ mod tests {
                 "k={partitions}"
             );
             assert_eq!(split.parts.len(), partitions);
-            assert_eq!(split.parts.iter().map(|p| p.commits).sum::<u64>(), whole.commits);
+            assert_parts_sum_to(&split, &whole);
         }
     }
 
@@ -608,58 +368,22 @@ mod tests {
     fn sliced_capture_replays_recombine_bit_identically() {
         let spec = small_spec();
         let capture = capture_of_spec(&spec);
-        let whole = replay_concurrent(&capture, &ReplayMix::Original).unwrap();
+        let whole = replay(&capture, &ReplayMix::Original, 2).unwrap();
         let split = replay_partitioned(&capture, 4).unwrap();
         assert_eq!(split.run.intervals, whole.intervals);
         assert_eq!(split.run.aggregate(), whole.aggregate());
         assert_eq!(split.run.load_curve(12), whole.load_curve(12));
-        // The merged histogram is the elementwise sum of the partitions'.
-        let mut merged_parts = LatencyHistogram::new();
-        for part in &split.parts {
-            merged_parts.merge(&part.transfer_histogram());
-        }
-        let whole_hist = whole.transfer_histogram();
-        assert_eq!(merged_parts.summary(), whole_hist.summary());
+        assert_parts_sum_to(&split, &whole);
         // And the live run matches too (capture replay is bit-faithful).
-        let live = run_scale_concurrent(&spec);
+        let live = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
         assert_eq!(split.run.intervals, live.intervals);
-    }
-
-    #[test]
-    fn merge_is_order_independent() {
-        let spec = small_spec();
-        let parts = spec_partitions(&spec, 3);
-        let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
-        let started = std::time::Instant::now();
-        let mut finished: Vec<PartitionRun> =
-            parts.iter().map(|p| run_partition(p, &store, 2).unwrap()).collect();
-        let files = (spec.clients * spec.commits_per_client * spec.files_per_commit) as u64;
-        let (forward, waves_fwd) = merge_partitions(
-            0,
-            spec.clients,
-            files,
-            &finished,
-            ObjectStore::with_policy(GcPolicy::MarkSweep),
-            started,
-        )
-        .unwrap();
-        finished.rotate_left(1);
-        finished.reverse();
-        let (shuffled, waves_shuf) =
-            merge_partitions(0, spec.clients, files, &finished, store, started).unwrap();
-        assert_eq!(forward.intervals, shuffled.intervals);
-        assert_eq!(forward.commits, shuffled.commits);
-        assert_eq!(waves_fwd, waves_shuf);
     }
 
     #[test]
     fn merge_rejects_overlaps_and_gaps() {
         let spec = small_spec();
-        let parts = spec_partitions(&spec, 2);
-        let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
+        let finished = run_partitioned(&spec, 2).parts;
         let started = std::time::Instant::now();
-        let finished: Vec<PartitionRun> =
-            parts.iter().map(|p| run_partition(p, &store, 1).unwrap()).collect();
         let files = (spec.clients * spec.commits_per_client * spec.files_per_commit) as u64;
         // A duplicated partition overlaps itself.
         let doubled = vec![finished[0].clone(), finished[0].clone()];
@@ -689,8 +413,12 @@ mod tests {
     #[test]
     fn capture_partitions_reject_degenerate_counts() {
         let capture = capture_of_spec(&ScaleSpec::new(3).with_seed(1));
-        assert!(capture_partitions(&capture, 0).is_err());
-        assert!(capture_partitions(&capture, 4).is_err());
-        assert_eq!(capture_partitions(&capture, 3).unwrap().len(), 3);
+        assert!(replay_partitioned(&capture, 0).is_err());
+        let err = replay_partitioned(&capture, 4).unwrap_err();
+        assert!(err.contains("non-empty partitions"), "got: {err}");
+        let split = replay_partitioned(&capture, 3).unwrap();
+        let owned: Vec<Vec<usize>> =
+            split.parts.iter().map(|p| p.clients.iter().collect()).collect();
+        assert_eq!(owned, vec![vec![0], vec![1], vec![2]]);
     }
 }

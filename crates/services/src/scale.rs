@@ -1,38 +1,43 @@
-//! The fleet-scale runner: 100k–1M lightweight clients on the event heap.
+//! The fleet-scale runner: 100k–1M lightweight clients against the shared
+//! store.
 //!
 //! The full fleet harness ([`crate::fleet`]) gives every client a real
 //! [`crate::client::SyncClient`] — a planner, a simulator, a packet trace —
 //! which is the right fidelity for tens of clients and hopeless for a
 //! million. This module keeps the *population-scale* questions (commits per
 //! second against the sharded store, concurrency peaks, inter-user dedup at
-//! scale) and drops the per-client machinery: each client is a compact
-//! [`ScaleSpec`]-derived state record of a few dozen bytes, its commit
-//! instants are seeded draws over a virtual horizon, its transfer times are
-//! computed analytically from its access link, and its chunks are committed
-//! to the [`ObjectStore`] as metadata-only records (hashes derived from the
+//! scale) and drops the per-client machinery: a client's only state is the
+//! instant its link is free again, its commit instants are seeded draws
+//! over a virtual horizon, its transfer times are computed analytically
+//! from its access link, and its chunks are committed to the
+//! [`ObjectStore`] as metadata-only records (hashes derived from the
 //! content seeds — no file bytes are ever generated or retained, because
 //! at 100k clients the plaintext would dominate the host's memory).
 //!
-//! Execution rides the same [`EventHeap`] as the full fleet: one
-//! [`Phase::Sync`] event per `(client, commit)` pair, ordered by
-//! `(timestamp, client id)`, popped in waves of pairwise-distinct clients
-//! and fanned out over worker threads. Each event touches only its client's
-//! state record plus the shared store, whose aggregate accounting is
-//! order-independent — so a parallel run and the sequential replay are
-//! bit-identical, and two runs of the same spec dump identical JSON (the CI
-//! fleet-scale determinism leg `cmp`s exactly that).
+//! One driver executes every lightweight population, whatever its source:
+//! a live [`ScaleSpec`], a parsed [`FleetCapture`], or the same capture
+//! remapped onto another link or service ([`ReplayMix`]). It cuts the
+//! population into disjoint [`ClientSet`]s — one round-robin stripe per
+//! worker, or the caller's partitions ([`crate::partition`]) — and worker
+//! threads that live for the whole run pull the sets, stepping each set's
+//! commits in [`FleetEvent::key`] order against the shared store, whose
+//! aggregate accounting is order-independent. [`merge_partitions`] k-way
+//! merges the sets' streams back into global key order, so every worker
+//! and partition count is bit-identical to the 1-set inline run, and two
+//! runs of the same spec dump identical JSON (the CI fleet-scale
+//! determinism leg `cmp`s exactly that).
 //!
-//! Memory discipline is the point: the per-client budget is the state
-//! record plus the client's share of the event list and the interval log —
-//! a few hundred bytes per client, asserted by a `size_of` test below —
-//! against the many kilobytes a `SyncClient` costs. 100k clients fit in a
-//! few tens of megabytes before store contents.
+//! Memory discipline is the point: the per-client budget is that instant
+//! plus the client's share of the event list and the interval log — a few
+//! hundred bytes per client, asserted by a `size_of` test below — against
+//! the many kilobytes a `SyncClient` costs. 100k clients fit in a few tens
+//! of megabytes before store contents.
 
-use crate::engine::{EventHeap, FleetEvent, Phase};
+use crate::capture::{FleetCapture, ReplayMix};
+use crate::engine::{wave_count, EventHeap, FleetEvent, Phase};
+use crate::partition::{merge_partitions, ClientSet, PartitionRun, PartitionedRun};
 use cloudsim_net::AccessLink;
-use cloudsim_storage::{
-    AggregateStats, ContentHash, FileManifest, GcPolicy, ObjectStore, StoredChunk,
-};
+use cloudsim_storage::{AggregateStats, ContentHash, FileManifest, ObjectStore, StoredChunk};
 use cloudsim_trace::packet::{
     Direction, Endpoint, PacketRecord, TcpFlags, TransportProtocol, TCP_HEADER_BYTES,
 };
@@ -109,19 +114,6 @@ impl ScaleSpec {
         self
     }
 
-    /// Sets the shared-pool fraction.
-    pub fn with_shared_fraction(mut self, fraction: f64) -> ScaleSpec {
-        assert!((0.0..=1.0).contains(&fraction), "shared fraction must be within [0, 1]");
-        self.shared_fraction = fraction;
-        self
-    }
-
-    /// Sets the virtual horizon.
-    pub fn with_horizon(mut self, horizon: SimDuration) -> ScaleSpec {
-        self.horizon = horizon;
-        self
-    }
-
     /// Sets the master seed.
     pub fn with_seed(mut self, seed: u64) -> ScaleSpec {
         self.seed = seed;
@@ -131,11 +123,6 @@ impl ScaleSpec {
     /// The user name of client `i` in the shared store.
     pub fn user(&self, i: usize) -> String {
         scale_user(i)
-    }
-
-    /// The link client `i` uploads through.
-    pub fn link(&self, i: usize) -> &AccessLink {
-        &self.links[i % self.links.len()]
     }
 
     /// Files per commit that come from the population-wide shared pool.
@@ -162,57 +149,56 @@ impl ScaleSpec {
         }
     }
 
-    /// The trace flow id of client `i`'s commit `k` — a pure function of
-    /// the spec, *not* an allocation from a worker shard, so the traced
-    /// capture merges bit-identically whatever worker executed the commit.
-    pub fn commit_flow(&self, i: usize, k: usize) -> FlowId {
-        FlowId((i * self.commits_per_client + k) as u64)
-    }
-
     /// Lowers the spec into its event heap: one [`Phase::Sync`] event per
     /// `(client, commit)` pair at its seeded instant. Deriving twice yields
     /// identical heaps.
     pub fn events(&self) -> EventHeap {
-        let mut events = Vec::with_capacity(self.clients * self.commits_per_client);
-        for i in 0..self.clients {
-            for k in 0..self.commits_per_client {
-                events.push(FleetEvent {
-                    at: self.commit_at(i, k),
-                    phase: Phase::Sync,
-                    client: i,
-                    round: k,
-                });
-            }
+        let everyone = ClientSet::Range { start: 0, end: self.clients };
+        EventHeap::from_events(Workload::from_spec(self).events_of(&everyone))
+    }
+
+    /// Checks that the spec describes a runnable population: nothing empty,
+    /// and event (clients × commits) and packet (clients × commits × (1 +
+    /// files)) totals the driver can allocate without overflowing.
+    pub fn validate(&self) -> Result<(), String> {
+        let empty = [
+            (self.clients == 0, "a scale run needs at least one client"),
+            (self.commits_per_client == 0, "a scale run needs at least one commit per client"),
+            (self.files_per_commit == 0, "a commit needs at least one file"),
+            (self.file_size == 0, "files must have at least one byte"),
+            (self.links.is_empty(), "a scale run needs at least one link"),
+            (self.horizon.is_zero(), "the horizon must be positive"),
+        ];
+        if let Some((_, message)) = empty.iter().find(|(is_empty, _)| *is_empty) {
+            return Err((*message).into());
         }
-        EventHeap::from_events(events)
+        let packets = self
+            .clients
+            .checked_mul(self.commits_per_client)
+            .and_then(|events| events.checked_mul(self.files_per_commit.checked_add(1)?));
+        packets.map(|_| ()).ok_or_else(|| {
+            format!(
+                "{} clients x {} commits of {} files overflow the event and packet counts",
+                self.clients, self.commits_per_client, self.files_per_commit
+            )
+        })
     }
 
-    pub(crate) fn validate(&self) {
-        assert!(self.clients > 0, "a scale run needs at least one client");
-        assert!(self.commits_per_client > 0, "a scale run needs at least one commit per client");
-        assert!(self.files_per_commit > 0, "a commit needs at least one file");
-        assert!(self.file_size > 0, "files must have at least one byte");
-        assert!(!self.links.is_empty(), "a scale run needs at least one link");
-        assert!(!self.horizon.is_zero(), "the horizon must be positive");
+    /// [`ScaleSpec::validate`] plus the traced run's address space: the
+    /// capture gives client `i` the synthetic source address `10.x.y.z`
+    /// from the low 24 bits of `i`, so past 2^24 clients two clients would
+    /// share a source address.
+    pub fn validate_traced(&self) -> Result<(), String> {
+        const ADDRESSABLE: usize = 1 << 24;
+        self.validate()?;
+        if self.clients > ADDRESSABLE {
+            return Err(format!(
+                "a traced run addresses at most {ADDRESSABLE} clients (10.x.y.z sources), got {}",
+                self.clients
+            ));
+        }
+        Ok(())
     }
-}
-
-/// One lightweight client's compact state: everything the runner keeps per
-/// client between events. The `size_of` budget test below pins this to at
-/// most 64 bytes — the allocation discipline that lets 100k–1M clients fit
-/// where a single [`crate::client::SyncClient`] would not.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct ScaleClientState {
-    /// When the client's link is free again (commits on one link serialise).
-    pub(crate) busy_until: SimTime,
-    /// Start of the client's first transfer (valid once `commits > 0`).
-    pub(crate) first_start: SimTime,
-    /// End of the client's last transfer.
-    pub(crate) last_end: SimTime,
-    /// Plaintext bytes committed so far.
-    pub(crate) logical_bytes: u64,
-    /// Commits performed so far.
-    pub(crate) commits: u32,
 }
 
 /// Expands a content seed into a synthetic 256-bit content hash: four
@@ -228,102 +214,182 @@ fn synth_hash(content_seed: u64) -> ContentHash {
     ContentHash(bytes)
 }
 
-/// Executes one commit transfer: commits the chunk hashes yielded by
-/// `content_seed` (metadata-only) plus one manifest per file into the
-/// shared store, and advances the client's analytic timeline — the
-/// transfer starts when both the event instant and the client's link are
-/// ready, and lasts `rtts_per_commit` access round trips plus the
-/// serialised transmission time of the commit's bytes.
-///
-/// This is the common executor behind both the spec-derived runner
-/// ([`run_scale`], one bundled round trip per commit) and the
-/// capture/replay path ([`crate::capture`]), where the seeds come from a
-/// capture file and a non-bundling service remap pays one round trip per
-/// file.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_transfer(
-    store: &ObjectStore,
-    user: &str,
-    link: &AccessLink,
-    round: usize,
+/// One lightweight population as the driver sees it: the per-commit
+/// shape, the links, and where each commit's instant and content seeds come
+/// from — a live spec ([`Workload::from_spec`]) or a capture with its
+/// replay mix resolved to links and round trips ([`Workload::from_capture`]).
+pub(crate) struct Workload<'a> {
+    /// Global index of the population's first client.
+    client_base: usize,
+    clients: usize,
+    commits_per_client: usize,
     files_per_commit: usize,
     file_size: u64,
     shared_files: usize,
+    /// Access round trips per commit: one for a bundling service, one per
+    /// file for a non-bundling remap.
     rtts_per_commit: u64,
-    at: SimTime,
-    content_seed: impl Fn(usize) -> u64,
-    mut state: ScaleClientState,
-) -> (ScaleClientState, (SimTime, SimTime)) {
-    let batch_bytes = files_per_commit as u64 * file_size;
-
-    for f in 0..files_per_commit {
-        let hash = synth_hash(content_seed(f));
-        store.put_chunk(user, StoredChunk { hash, stored_len: file_size, plain_len: file_size });
-        let label = if f < shared_files { "shared" } else { "private" };
-        store.commit_manifest(
-            user,
-            FileManifest {
-                path: format!("{label}/c{round:03}_f{f:03}"),
-                size: file_size,
-                chunks: vec![hash],
-                version: 0,
-            },
-        );
-    }
-
-    let start = at.max(state.busy_until);
-    let end = start
-        + link.access_rtt * rtts_per_commit
-        + SimDuration::for_transmission(batch_bytes, link.up_bandwidth);
-    if state.commits == 0 {
-        state.first_start = start;
-    }
-    state.busy_until = end;
-    state.last_end = end;
-    state.logical_bytes += batch_bytes;
-    state.commits += 1;
-    (state, (start, end))
+    /// Links assigned round-robin over global client indices.
+    links: Vec<AccessLink>,
+    commits: Commits<'a>,
 }
 
-/// Executes one spec-derived commit event through [`execute_transfer`].
-fn execute_commit(
-    spec: &ScaleSpec,
+/// Where a [`Workload`]'s commit instants and content seeds come from.
+enum Commits<'a> {
+    /// Seeded draws from the spec.
+    Drawn(&'a ScaleSpec),
+    /// A capture's recorded `(instant, content seeds)`, indexed by
+    /// capture-local `client * commits_per_client + round`.
+    Recorded(Vec<(SimTime, &'a [u64])>),
+}
+
+impl<'a> Workload<'a> {
+    /// The live source. The caller validates the spec first.
+    pub(crate) fn from_spec(spec: &'a ScaleSpec) -> Workload<'a> {
+        Workload {
+            client_base: 0,
+            clients: spec.clients,
+            commits_per_client: spec.commits_per_client,
+            files_per_commit: spec.files_per_commit,
+            file_size: spec.file_size,
+            shared_files: spec.shared_files_per_commit(),
+            rtts_per_commit: 1,
+            links: spec.links.clone(),
+            commits: Commits::Drawn(spec),
+        }
+    }
+
+    /// The replay source: the capture's recorded commits under `mix`. The
+    /// capture must record every `(client, round)` of its header exactly
+    /// once, as [`crate::capture::parse_capture`] checks and
+    /// [`crate::capture::capture_of_spec`] and
+    /// [`crate::capture::slice_capture`] guarantee. Fails on an unknown link
+    /// preset.
+    pub(crate) fn from_capture(
+        capture: &'a FleetCapture,
+        mix: &ReplayMix,
+    ) -> Result<Workload<'a>, String> {
+        let links: Vec<AccessLink> = match mix {
+            ReplayMix::Link(link) => vec![*link],
+            ReplayMix::Original | ReplayMix::Profile(_) => capture
+                .link_names
+                .iter()
+                .map(|name| {
+                    AccessLink::by_name(name)
+                        .ok_or_else(|| format!("capture references unknown link preset \"{name}\""))
+                })
+                .collect::<Result<_, _>>()?,
+        };
+        let rtts_per_commit = match mix {
+            ReplayMix::Profile(profile) if !profile.bundles() => capture.files_per_commit as u64,
+            _ => 1,
+        };
+
+        let (base, commits) = (capture.client_base, capture.commits_per_client);
+        let mut recorded: Vec<(SimTime, &[u64])> = vec![(SimTime::ZERO, &[]); capture.events.len()];
+        for ev in &capture.events {
+            recorded[(ev.client - base) * commits + ev.round] = (ev.at, &ev.content_seeds);
+        }
+
+        Ok(Workload {
+            client_base: base,
+            clients: capture.clients,
+            commits_per_client: commits,
+            files_per_commit: capture.files_per_commit,
+            file_size: capture.file_size,
+            shared_files: capture.shared_files_per_commit,
+            rtts_per_commit,
+            links,
+            commits: Commits::Recorded(recorded),
+        })
+    }
+
+    /// `k` round-robin stripes over the population, `k` clamped to
+    /// `[1, clients]` — the one-set-per-worker split.
+    pub(crate) fn stripes(&self, k: usize) -> Vec<ClientSet> {
+        let k = k.min(self.clients).max(1);
+        let total = self.client_base + self.clients;
+        (0..k).map(|j| ClientSet::Stripe { offset: self.client_base + j, step: k, total }).collect()
+    }
+
+    fn link(&self, i: usize) -> &AccessLink {
+        &self.links[i % self.links.len()]
+    }
+
+    fn batch_bytes(&self) -> u64 {
+        self.files_per_commit as u64 * self.file_size
+    }
+
+    /// One [`Phase::Sync`] event per `(client, commit)` pair of `set`, in
+    /// set order.
+    fn events_of(&self, set: &ClientSet) -> Vec<FleetEvent> {
+        let mut events = Vec::with_capacity(set.len() * self.commits_per_client);
+        for i in set.iter() {
+            for k in 0..self.commits_per_client {
+                let at = self.commit_at(i, k);
+                events.push(FleetEvent { at, phase: Phase::Sync, client: i, round: k });
+            }
+        }
+        events
+    }
+
+    fn slot(&self, i: usize, k: usize) -> usize {
+        (i - self.client_base) * self.commits_per_client + k
+    }
+
+    fn commit_at(&self, i: usize, k: usize) -> SimTime {
+        match &self.commits {
+            Commits::Drawn(spec) => spec.commit_at(i, k),
+            Commits::Recorded(recorded) => recorded[self.slot(i, k)].0,
+        }
+    }
+
+    fn content_seed(&self, i: usize, k: usize, f: usize) -> u64 {
+        match &self.commits {
+            Commits::Drawn(spec) => spec.content_seed(i, k, f),
+            Commits::Recorded(recorded) => recorded[self.slot(i, k)].1[f],
+        }
+    }
+}
+
+/// Executes one commit event: one metadata-only chunk and manifest per file
+/// into the shared store, then the transfer interval — from when both the
+/// event and the client's link (`busy_until`) are ready, for
+/// `rtts_per_commit` access round trips plus the commit's transmission.
+fn execute_transfer(
     store: &ObjectStore,
+    w: &Workload,
     ev: &FleetEvent,
-    state: ScaleClientState,
-) -> (ScaleClientState, (SimTime, SimTime)) {
-    let (i, k) = (ev.client, ev.round);
-    execute_transfer(
-        store,
-        &spec.user(i),
-        spec.link(i),
-        k,
-        spec.files_per_commit,
-        spec.file_size,
-        spec.shared_files_per_commit(),
-        1,
-        ev.at,
-        |f| spec.content_seed(i, k, f),
-        state,
-    )
+    busy_until: SimTime,
+) -> (SimTime, SimTime) {
+    let (i, round, size) = (ev.client, ev.round, w.file_size);
+    let user = scale_user(i);
+    for f in 0..w.files_per_commit {
+        let hash = synth_hash(w.content_seed(i, round, f));
+        store.put_chunk(&user, StoredChunk { hash, stored_len: size, plain_len: size });
+        let label = if f < w.shared_files { "shared" } else { "private" };
+        let path = format!("{label}/c{round:03}_f{f:03}");
+        store.commit_manifest(&user, FileManifest { path, size, chunks: vec![hash], version: 0 });
+    }
+
+    let link = w.link(i);
+    let start = ev.at.max(busy_until);
+    let end = start
+        + link.access_rtt * w.rtts_per_commit
+        + SimDuration::for_transmission(w.batch_bytes(), link.up_bandwidth);
+    (start, end)
 }
 
-/// Records the packet skeleton of one commit into a worker's trace shard:
-/// the connection SYN at the transfer start, then one storage payload
-/// packet per file at its analytic completion instant. Timestamps, sizes
-/// and the flow id ([`ScaleSpec::commit_flow`]) are pure functions of the
-/// spec, and a commit's packets land contiguously in exactly one shard, so
-/// the `(timestamp, flow, seq)` merge reproduces one canonical trace for
-/// any worker count.
-fn record_commit_packets(
-    shard: &mut TraceShard,
-    spec: &ScaleSpec,
-    i: usize,
-    k: usize,
-    start: SimTime,
-) {
-    let flow = spec.commit_flow(i, k);
-    let link = spec.link(i);
+/// Records one commit's packet skeleton into a worker's trace shard: a SYN
+/// at the transfer start, then one payload packet per file at its analytic
+/// completion. Timestamps, sizes and the flow id (`client *
+/// commits_per_client + commit`, never a shard allocation) are pure
+/// functions of the workload, so the `(timestamp, flow, seq)` merge
+/// reproduces one canonical trace for any worker count.
+fn record_commit_packets(shard: &mut TraceShard, w: &Workload, ev: &FleetEvent, start: SimTime) {
+    let (i, k) = (ev.client, ev.round);
+    let flow = FlowId((i * w.commits_per_client + k) as u64);
+    let link = w.link(i);
     let src = Endpoint::from_octets(
         10,
         (i >> 16) as u8,
@@ -345,68 +411,78 @@ fn record_commit_packets(
         kind: FlowKind::Storage,
     };
     shard.record(packet(start, TcpFlags::SYN, 0));
-    for f in 0..spec.files_per_commit {
+    for f in 0..w.files_per_commit {
         let sent = start
             + link.access_rtt
-            + SimDuration::for_transmission((f as u64 + 1) * spec.file_size, link.up_bandwidth);
-        shard.record(packet(sent, TcpFlags::ACK, spec.file_size as u32));
+            + SimDuration::for_transmission((f as u64 + 1) * w.file_size, link.up_bandwidth);
+        shard.record(packet(sent, TcpFlags::ACK, w.file_size as u32));
     }
 }
 
-/// Pops waves off `heap` and fans each out over up to `workers` threads,
-/// threading per-client state records through `exec`. Every wave holds
-/// pairwise-distinct clients whose store commits commute, so any worker
-/// count produces bit-identical states and intervals. Shared by the
-/// spec-derived runner and the capture/replay path.
-pub(crate) fn drive_waves<F>(
-    mut heap: EventHeap,
-    clients: usize,
-    workers: usize,
-    exec: F,
-) -> (Vec<ScaleClientState>, Vec<(SimTime, SimTime)>)
-where
-    F: Fn(&FleetEvent, ScaleClientState) -> (ScaleClientState, (SimTime, SimTime)) + Sync,
-{
-    let mut states: Vec<ScaleClientState> = vec![ScaleClientState::default(); clients];
-    let mut intervals: Vec<(SimTime, SimTime)> = Vec::with_capacity(heap.len());
+/// Drives one client set: steps its clients' events in [`FleetEvent::key`]
+/// order through [`execute_transfer`], keeping per client only when its
+/// link is free again, and records each commit's packets when the worker
+/// carries a trace shard.
+fn drive_set(
+    w: &Workload,
+    index: usize,
+    set: &ClientSet,
+    store: &ObjectStore,
+    mut shard: Option<&mut TraceShard>,
+) -> PartitionRun {
+    let mut events = w.events_of(set);
+    events.sort_unstable();
 
-    while let Some(wave) = heap.next_wave() {
-        let results: Vec<(ScaleClientState, (SimTime, SimTime))> = cloudsim_parallel::run_indexed(
-            workers.clamp(1, wave.events.len()),
-            wave.events.len(),
-            || (),
-            |(), k| {
-                let ev = &wave.events[k];
-                exec(ev, states[ev.client])
-            },
-        );
-        for (k, (state, interval)) in results.into_iter().enumerate() {
-            states[wave.events[k].client] = state;
-            intervals.push(interval);
-        }
-    }
-    (states, intervals)
-}
+    let mut busy_until = vec![SimTime::ZERO; set.len()];
+    let intervals: Vec<(SimTime, SimTime)> = events
+        .iter()
+        .map(|ev| {
+            let local = set.local_index(ev.client).expect("a set derives only its own events");
+            let interval = execute_transfer(store, w, ev, busy_until[local]);
+            busy_until[local] = interval.1;
+            if let Some(shard) = shard.as_deref_mut() {
+                record_commit_packets(shard, w, ev, interval.0);
+            }
+            interval
+        })
+        .collect();
 
-/// Assembles a [`ScaleRun`] from driven state records; `files` comes from
-/// the caller because only it knows the per-commit file count.
-pub(crate) fn assemble_run(
-    clients: usize,
-    files: u64,
-    states: &[ScaleClientState],
-    intervals: Vec<(SimTime, SimTime)>,
-    store: ObjectStore,
-    started: std::time::Instant,
-) -> ScaleRun {
-    ScaleRun {
-        clients,
-        commits: states.iter().map(|s| s.commits as u64).sum(),
-        files,
-        logical_bytes: states.iter().map(|s| s.logical_bytes).sum(),
+    let commits = intervals.len() as u64;
+    PartitionRun {
+        index,
+        clients: set.clone(),
+        commits,
+        logical_bytes: commits * w.batch_bytes(),
+        waves: wave_count(&events),
+        events,
         intervals,
-        store,
-        elapsed: started.elapsed(),
     }
+}
+
+/// The one driver behind every lightweight population. Each entry of
+/// `workers` is one worker thread, alive for the whole run, whose context
+/// is an optional trace shard; the workers pull `sets` through a single
+/// [`cloudsim_parallel::run_with_contexts`] call, all committing into
+/// `store`, and [`merge_partitions`] recombines the sets' streams. With one
+/// worker everything runs inline on the calling thread.
+pub(crate) fn drive(
+    w: &Workload,
+    sets: &[ClientSet],
+    store: ObjectStore,
+    workers: &mut [Option<TraceShard>],
+) -> PartitionedRun {
+    let started = std::time::Instant::now();
+    // No more workers than sets, so a 1-set run stays on the calling thread.
+    let active = sets.len().min(workers.len()).max(1);
+    let workers = &mut workers[..active];
+    let parts = cloudsim_parallel::run_with_contexts(workers, sets.len(), |shard, index| {
+        drive_set(w, index, &sets[index], &store, shard.as_mut())
+    });
+    let files = w.clients as u64 * w.commits_per_client as u64 * w.files_per_commit as u64;
+    let (run, merged_waves) =
+        merge_partitions(w.client_base, w.clients, files, &parts, store, started)
+            .expect("the driver's client sets tile the population");
+    PartitionedRun { run, parts, merged_waves }
 }
 
 /// The result of one fleet-scale run: population-level aggregates plus the
@@ -485,123 +561,89 @@ impl ScaleRun {
     /// `buckets` equal slices of the active span. The sum of the buckets is
     /// the commit total; an empty run yields all-zero buckets.
     pub fn load_curve(&self, buckets: usize) -> Vec<u64> {
-        assert!(buckets > 0, "need at least one bucket");
-        let mut curve = vec![0u64; buckets];
-        let first = self.first_start();
-        let span = (self.last_end() - first).as_secs_f64();
-        if span <= 0.0 {
-            curve[0] = self.commits;
-            return curve;
-        }
-        for &(start, _) in &self.intervals {
-            let frac = (start - first).as_secs_f64() / span;
-            let b = ((frac * buckets as f64) as usize).min(buckets - 1);
-            curve[b] += 1;
-        }
-        curve
+        bucket_starts(&self.intervals, self.first_start(), self.last_end(), buckets)
     }
+}
+
+/// Counts `intervals` by start instant into `buckets` equal slices of
+/// `[first, last]` (all in bucket 0 for a zero-length span), so summing
+/// the partitions' curves over the merged span reproduces the merged curve.
+pub(crate) fn bucket_starts(
+    intervals: &[(SimTime, SimTime)],
+    first: SimTime,
+    last: SimTime,
+    buckets: usize,
+) -> Vec<u64> {
+    assert!(buckets > 0, "need at least one bucket");
+    let mut curve = vec![0u64; buckets];
+    let span = (last - first).as_secs_f64();
+    if span <= 0.0 {
+        curve[0] = intervals.len() as u64;
+        return curve;
+    }
+    for &(start, _) in intervals {
+        let frac = (start - first).as_secs_f64() / span;
+        let b = ((frac * buckets as f64) as usize).min(buckets - 1);
+        curve[b] += 1;
+    }
+    curve
 }
 
 /// Runs the population on up to `workers` OS threads, committing into
-/// `store`. The event heap is derived up front; each wave holds
-/// pairwise-distinct clients whose store commits commute, so any worker
-/// count produces bit-identical [`ScaleRun`] data (wall-clock `elapsed`
-/// aside).
+/// `store`: one round-robin stripe of clients per worker. Any worker count
+/// produces bit-identical [`ScaleRun`] data (wall-clock `elapsed` aside).
+/// Panics when [`ScaleSpec::validate`] rejects the spec.
 pub fn run_scale(spec: &ScaleSpec, store: ObjectStore, workers: usize) -> ScaleRun {
-    spec.validate();
-    let heap = spec.events();
-    let started = std::time::Instant::now();
-    let (states, intervals) = drive_waves(heap, spec.clients, workers, |ev, state| {
-        execute_commit(spec, &store, ev, state)
-    });
-    let files = spec.clients as u64 * spec.commits_per_client as u64 * spec.files_per_commit as u64;
-    assemble_run(spec.clients, files, &states, intervals, store, started)
+    spec.validate().unwrap_or_else(|e| panic!("{e}"));
+    let workload = Workload::from_spec(spec);
+    drive(&workload, &workload.stripes(workers), store, &mut vec![None; workers.max(1)]).run
 }
 
-/// Runs the population with full packet capture: each of the `workers`
-/// round workers records commits into its own long-lived [`TraceShard`]
-/// (handed out once and reused wave after wave via
-/// [`cloudsim_parallel::run_with_contexts`]), and the shards are k-way
+/// Runs the population with full packet capture: each worker records its
+/// stripe's commits into its own [`TraceShard`], and the shards are k-way
 /// merged into one frozen [`Trace`] at the end. The [`ScaleRun`] is
 /// bit-identical to the traceless [`run_scale`] of the same spec, and the
 /// merged trace is bit-identical for any worker count — flow ids are pure
-/// functions of `(client, commit)`, not shard allocations.
+/// functions of `(client, commit)`, not shard allocations. Panics when
+/// [`ScaleSpec::validate_traced`] rejects the spec.
 pub fn run_scale_traced(spec: &ScaleSpec, store: ObjectStore, workers: usize) -> (ScaleRun, Trace) {
-    spec.validate();
-    let mut heap = spec.events();
-    let started = std::time::Instant::now();
-    let workers = workers.max(1);
-    let mut shards = TraceRecorder::with_shards(workers).into_shards();
-    // Steady-state recording should never reallocate: the packet count per
-    // commit is known up front, so carve the capacity across the shards.
-    let packets_per_commit = 1 + spec.files_per_commit;
-    let total_packets = heap.len() * packets_per_commit;
-    for shard in &mut shards {
-        shard.reserve(total_packets / workers + packets_per_commit);
-    }
-
-    let mut states: Vec<ScaleClientState> = vec![ScaleClientState::default(); spec.clients];
-    let mut intervals: Vec<(SimTime, SimTime)> = Vec::with_capacity(heap.len());
-    while let Some(wave) = heap.next_wave() {
-        let results: Vec<(ScaleClientState, (SimTime, SimTime))> =
-            cloudsim_parallel::run_with_contexts(&mut shards, wave.events.len(), |shard, k| {
-                let ev = &wave.events[k];
-                let (state, interval) = execute_commit(spec, &store, ev, states[ev.client]);
-                record_commit_packets(shard, spec, ev.client, ev.round, interval.0);
-                (state, interval)
-            });
-        for (k, (state, interval)) in results.into_iter().enumerate() {
-            states[wave.events[k].client] = state;
-            intervals.push(interval);
-        }
-    }
-
-    let trace = TraceRecorder::from_shards(shards).finish();
-    let files = spec.clients as u64 * spec.commits_per_client as u64 * spec.files_per_commit as u64;
-    (assemble_run(spec.clients, files, &states, intervals, store, started), trace)
-}
-
-/// Runs the population with one worker per host core against a fresh
-/// sharded store (mark-sweep retention, like a provider that never eagerly
-/// frees).
-pub fn run_scale_concurrent(spec: &ScaleSpec) -> ScaleRun {
-    let workers = cloudsim_parallel::available_workers();
-    run_scale(spec, ObjectStore::with_policy(GcPolicy::MarkSweep), workers)
-}
-
-/// Like [`run_scale_concurrent`], but with full packet capture: one worker
-/// (and one trace shard) per host core, merged into a frozen [`Trace`].
-/// The capture is bit-identical whatever the core count.
-pub fn run_scale_traced_concurrent(spec: &ScaleSpec) -> (ScaleRun, Trace) {
-    let workers = cloudsim_parallel::available_workers();
-    run_scale_traced(spec, ObjectStore::with_policy(GcPolicy::MarkSweep), workers)
-}
-
-/// Replays the same population sequentially on the calling thread — the
-/// determinism baseline parallel runs are compared to.
-pub fn run_scale_sequential(spec: &ScaleSpec) -> ScaleRun {
-    run_scale(spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1)
+    spec.validate_traced().unwrap_or_else(|e| panic!("{e}"));
+    let workload = Workload::from_spec(spec);
+    let sets = workload.stripes(workers);
+    // Steady-state recording should never reallocate: reserve the largest
+    // stripe's packets (the first stripe is never smaller than the rest).
+    let packets = sets[0].len() * spec.commits_per_client * (1 + spec.files_per_commit);
+    let mut shards: Vec<Option<TraceShard>> = TraceRecorder::with_shards(sets.len())
+        .into_shards()
+        .into_iter()
+        .map(|mut shard| {
+            shard.reserve(packets);
+            Some(shard)
+        })
+        .collect();
+    let run = drive(&workload, &sets, store, &mut shards).run;
+    (run, TraceRecorder::from_shards(shards.into_iter().flatten().collect()).finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudsim_storage::GcPolicy;
 
     fn small_spec() -> ScaleSpec {
         ScaleSpec::new(64).with_seed(0xAB)
     }
 
+    fn run(spec: &ScaleSpec, workers: usize) -> ScaleRun {
+        run_scale(spec, ObjectStore::with_policy(GcPolicy::MarkSweep), workers)
+    }
+
     #[test]
     fn per_client_state_respects_the_memory_budget() {
-        // The whole point of the lightweight path: a client is a compact
-        // state record, an event-heap entry per commit and an interval per
+        // The whole point of the lightweight path: a client is the instant
+        // its link is free again, an event per commit and an interval per
         // commit — not a SyncClient. Pin the sizes so a refactor cannot
         // silently fatten the per-client footprint.
-        assert!(
-            std::mem::size_of::<ScaleClientState>() <= 64,
-            "ScaleClientState grew past the 64-byte budget: {} bytes",
-            std::mem::size_of::<ScaleClientState>()
-        );
         assert!(
             std::mem::size_of::<FleetEvent>() <= 40,
             "FleetEvent grew past the 40-byte budget: {} bytes",
@@ -609,7 +651,7 @@ mod tests {
         );
         // Per-client budget at the default two commits per client: state +
         // 2 events + 2 intervals stays under a quarter kilobyte.
-        let per_client = std::mem::size_of::<ScaleClientState>()
+        let per_client = std::mem::size_of::<SimTime>()
             + 2 * std::mem::size_of::<FleetEvent>()
             + 2 * std::mem::size_of::<(SimTime, SimTime)>();
         assert!(per_client <= 256, "per-client footprint {per_client} B exceeds 256 B");
@@ -618,14 +660,14 @@ mod tests {
     #[test]
     fn parallel_run_matches_sequential_replay_bit_for_bit() {
         let spec = small_spec();
-        let parallel = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 8);
-        let sequential = run_scale_sequential(&spec);
+        let parallel = run(&spec, 8);
+        let sequential = run(&spec, 1);
         assert_eq!(parallel.commits, sequential.commits);
         assert_eq!(parallel.logical_bytes, sequential.logical_bytes);
         assert_eq!(parallel.intervals, sequential.intervals);
         assert_eq!(parallel.aggregate(), sequential.aggregate());
         for i in [0, 17, 63] {
-            let user = spec.user(i);
+            let user = scale_user(i);
             assert_eq!(parallel.store.stats(&user), sequential.store.stats(&user));
             assert_eq!(parallel.store.list_files(&user), sequential.store.list_files(&user));
         }
@@ -634,19 +676,19 @@ mod tests {
     #[test]
     fn repeated_runs_are_deterministic() {
         let spec = small_spec();
-        let a = run_scale_concurrent(&spec);
-        let b = run_scale_concurrent(&spec);
+        let a = run(&spec, 2);
+        let b = run(&spec, 3);
         assert_eq!(a.intervals, b.intervals);
         assert_eq!(a.aggregate(), b.aggregate());
         assert_eq!(a.load_curve(16), b.load_curve(16));
         // A different seed reshuffles the instants.
-        let c = run_scale_concurrent(&spec.clone().with_seed(0xCD));
+        let c = run(&spec.clone().with_seed(0xCD), 2);
         assert_ne!(a.intervals, c.intervals);
     }
 
     #[test]
     fn shared_pool_dedups_across_the_population() {
-        let run = run_scale_concurrent(&small_spec());
+        let run = run(&small_spec(), 4);
         let agg = run.aggregate();
         assert_eq!(agg.users, 64);
         assert_eq!(run.commits, 128);
@@ -669,7 +711,7 @@ mod tests {
 
     #[test]
     fn load_metrics_are_positive_and_consistent() {
-        let run = run_scale_concurrent(&small_spec());
+        let run = run(&small_spec(), 4);
         assert!(run.virtual_span_secs() > 0.0);
         assert!(run.commits_per_vsec() > 0.0);
         assert!(run.concurrency_peak() >= 1);
@@ -687,25 +729,19 @@ mod tests {
                 assert!(at <= SimTime::ZERO + spec.horizon);
             }
         }
-        let run = run_scale_sequential(&spec);
+        let run = run(&spec, 1);
+        // Intervals are logged in global key order, which is the order the
+        // event heap pops.
+        let mut heap = spec.events();
+        let order: Vec<FleetEvent> = std::iter::from_fn(|| heap.pop()).collect();
         // A client's transfers never overlap: its link serialises them.
-        let per_client: Vec<Vec<(SimTime, SimTime)>> = (0..spec.clients)
-            .map(|i| {
-                let mut heap = spec.events();
-                let mut mine = Vec::new();
-                let mut idx = 0usize;
-                while let Some(wave) = heap.next_wave() {
-                    for ev in &wave.events {
-                        if ev.client == i {
-                            mine.push(run.intervals[idx]);
-                        }
-                        idx += 1;
-                    }
-                }
-                mine
-            })
-            .collect();
-        for mine in per_client {
+        for i in 0..spec.clients {
+            let mine: Vec<(SimTime, SimTime)> = order
+                .iter()
+                .zip(&run.intervals)
+                .filter(|(ev, _)| ev.client == i)
+                .map(|(_, &interval)| interval)
+                .collect();
             for pair in mine.windows(2) {
                 assert!(pair[0].1 <= pair[1].0 || pair[1].1 <= pair[0].0);
             }
@@ -715,34 +751,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one client")]
     fn zero_clients_panic() {
-        run_scale_sequential(&ScaleSpec::new(0));
-    }
-
-    #[test]
-    fn traced_run_matches_the_traceless_run_bit_for_bit() {
-        let spec = small_spec();
-        let plain = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 4);
-        let (traced, _trace) =
-            run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 4);
-        assert_eq!(traced.commits, plain.commits);
-        assert_eq!(traced.logical_bytes, plain.logical_bytes);
-        assert_eq!(traced.intervals, plain.intervals);
-        assert_eq!(traced.aggregate(), plain.aggregate());
-    }
-
-    #[test]
-    fn traced_capture_is_bit_identical_across_worker_counts() {
-        let spec = small_spec();
-        let (_, single) = run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
-        for workers in [2, 3, 8] {
-            let (_, sharded) =
-                run_scale_traced(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), workers);
-            assert_eq!(
-                sharded.view().packets(),
-                single.view().packets(),
-                "{workers}-shard merge must equal the single-shard capture"
-            );
-        }
+        run(&ScaleSpec::new(0), 1);
     }
 
     #[test]

@@ -1,20 +1,22 @@
 //! Property tests for capture slicing and partition merging.
 //!
-//! The partition runner's contract is structural: any valid contiguous
-//! split of a capture slices into per-worker captures that concatenate
-//! back to the original, and merging finished partitions is
-//! order-independent — the k-way merge by event key reconstructs the
-//! global heap pop order whatever order the workers finished in. These
-//! two properties are what let the CI partition-determinism leg `cmp`
-//! whole suite dumps byte for byte across worker counts.
+//! The scale driver's contract is structural: any valid contiguous split
+//! of a capture slices into per-worker captures that concatenate back to
+//! the original, and merging finished partitions is order-independent —
+//! the k-way merge by event key reconstructs the global key order whatever
+//! order the workers finished in, for every workload source. These
+//! properties are what let the CI partition-determinism and replay legs
+//! `cmp` whole suite dumps byte for byte across worker counts.
 
 use cloudsim_services::capture::{
-    capture_of_spec, merge_slices, parse_capture, render_fleet_capture, slice_capture,
+    capture_of_spec, merge_slices, parse_capture, render_fleet_capture, replay, slice_capture,
+    ReplayMix,
 };
 use cloudsim_services::partition::{
-    merge_partitions, partition_ranges, run_partition, spec_partitions, PartitionRun,
+    merge_partitions, partition_ranges, replay_partitioned, run_partitioned, PartitionedRun,
 };
-use cloudsim_services::scale::{run_scale, ScaleSpec};
+use cloudsim_services::scale::{run_scale, ScaleRun, ScaleSpec};
+use cloudsim_services::{AccessLink, ServiceProfile};
 use cloudsim_storage::{GcPolicy, ObjectStore};
 use proptest::prelude::*;
 
@@ -32,6 +34,17 @@ fn ranges_from_cuts(clients: usize, cuts: &[usize]) -> Vec<(usize, usize)> {
         start = end;
     }
     ranges
+}
+
+/// Bit-identity of everything a run reports except wall-clock time.
+fn same_run(a: &ScaleRun, b: &ScaleRun) -> bool {
+    a.clients == b.clients
+        && a.commits == b.commits
+        && a.files == b.files
+        && a.logical_bytes == b.logical_bytes
+        && a.intervals == b.intervals
+        && a.aggregate() == b.aggregate()
+        && a.load_curve(12) == b.load_curve(12)
 }
 
 proptest! {
@@ -71,38 +84,54 @@ proptest! {
 
     /// Partition merges are order-independent: any permutation of the
     /// finished partitions merges to the identical run, and that run
-    /// matches the unsliced one bit for bit.
+    /// matches the unsliced one bit for bit whatever the worker count. A
+    /// capture of the same spec replays worker- and partition-count
+    /// invariantly under every mix — the original, a link remap and a remap
+    /// onto Google Drive, which does not bundle: `replay` cuts one stripe
+    /// per worker, and the original mix also replays in contiguous ranges.
     #[test]
     fn partition_merge_is_order_independent(
         seed in 0u64..1_000_000,
         clients in 1usize..24,
         partitions in 1usize..6,
+        workers in 1usize..8,
+        mix in 0usize..3,
         rotate in 0usize..8,
         flip in 0u8..2,
     ) {
         let partitions = partitions.min(clients);
         let spec = ScaleSpec::new(clients).with_seed(seed);
-        let whole = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 4);
+        let whole = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), 1);
+        let threaded = run_scale(&spec, ObjectStore::with_policy(GcPolicy::MarkSweep), workers);
+        prop_assert!(same_run(&threaded, &whole));
 
-        let store = ObjectStore::with_policy(GcPolicy::MarkSweep);
-        let started = std::time::Instant::now();
-        let mut finished: Vec<PartitionRun> = spec_partitions(&spec, partitions)
-            .iter()
-            .map(|p| run_partition(p, &store, 2).expect("partition runs"))
-            .collect();
+        let PartitionedRun { run, parts: mut finished, merged_waves } =
+            run_partitioned(&spec, partitions);
         finished.rotate_left(rotate % partitions);
         if flip == 1 {
             finished.reverse();
         }
         let files = (clients * spec.commits_per_client * spec.files_per_commit) as u64;
-        let (merged, _waves) =
-            merge_partitions(0, clients, files, &finished, store, started).expect("tiles");
+        let started = std::time::Instant::now();
+        let (merged, waves) =
+            merge_partitions(0, clients, files, &finished, run.store, started).expect("tiles");
+        prop_assert!(same_run(&merged, &whole));
+        prop_assert_eq!(waves, merged_waves);
 
-        prop_assert_eq!(&merged.intervals, &whole.intervals);
-        prop_assert_eq!(merged.commits, whole.commits);
-        prop_assert_eq!(merged.logical_bytes, whole.logical_bytes);
-        prop_assert_eq!(merged.aggregate(), whole.aggregate());
-        prop_assert_eq!(merged.load_curve(12), whole.load_curve(12));
+        let capture = capture_of_spec(&spec);
+        let mix = match mix {
+            0 => ReplayMix::Original,
+            1 => ReplayMix::Link(AccessLink::adsl()),
+            _ => ReplayMix::Profile(ServiceProfile::google_drive()),
+        };
+        let reference = replay(&capture, &mix, 1).expect("replay");
+        let threaded = replay(&capture, &mix, workers).expect("replay");
+        prop_assert!(same_run(&threaded, &reference));
+        if mix == ReplayMix::Original {
+            prop_assert!(same_run(&reference, &whole));
+            let split = replay_partitioned(&capture, partitions).expect("replay");
+            prop_assert!(same_run(&split.run, &reference));
+        }
     }
 
     /// The near-equal range splitter always tiles the population with
